@@ -8,6 +8,23 @@ remaining ties are broken by the lower next-hop id.  Split horizon is
 applied without poisoned reverse, updates are strictly periodic (an
 expiry stays silent until the next scheduled update), and paths longer
 than the hop limit are treated as unreachable.
+
+Updates are processed incrementally.  Each router logs, in order, every
+destination whose route changed, and apart from that every destination
+whose route got worse or was removed, with both log lengths at every
+table version.  Once a receiver R has processed sender S's table, every
+destination d is settled: if S advertises d with candidate key c, R's
+route to d goes via S with key c, or via another hop with a better key
+(an equal key only with a lower hop id); if S does not advertise d, R has
+no route to d via S.  Only two things can unsettle d: a change of S's row
+for d (added, modified, deleted, or moved into or out of R's split-horizon
+group), or R's own route to d getting worse or going away (an overwrite
+by its own next hop, a withdrawal, an expiry); a route that only gets
+better keeps d settled.  So a later table from S is applied only to the
+destinations in S's change log since the table R last processed and in
+R's loss log since then; every other destination would come out
+unchanged.  A first contact, a re-formed link or a table older than the
+last one processed is applied in full.
 """
 from __future__ import annotations
 
@@ -134,25 +151,32 @@ class UpdateBatch:
     """Immutable snapshot of a router's table, shared by the per-neighbor
     update messages of one emission.
 
-    Rows are grouped by their next hop so that split horizon costs no
-    copying: the message addressed to neighbor X simply skips group X.
+    `rows` maps each destination to the sender's next hop and the wire row,
+    self row first (its next hop is the sender itself), so the message
+    addressed to neighbor X simply skips the rows whose next hop is X.
+    `log` and `marks` are the sender's change log, read only up to
+    `marks[sender_version]`, which keeps the batch a snapshot.
     """
 
     sender: AgentId
     sender_version: int
-    self_row: Row
-    groups: dict[AgentId, tuple[Row, ...]]
+    rows: dict[AgentId, tuple[AgentId, Row]]
+    group_sizes: dict[AgentId, int]  # rows per sender next hop
     recipients: tuple[AgentId, ...]
+    log: list[AgentId]
+    marks: list[int]
+
+    @property
+    def self_row(self) -> Row:
+        return self.rows[self.sender][1]
 
     def rows_for(self, receiver: AgentId) -> Iterator[Row]:
-        yield self.self_row
-        for next_hop, rows in self.groups.items():
+        for next_hop, row in self.rows.values():
             if next_hop != receiver:
-                yield from rows
+                yield row
 
     def row_count_for(self, receiver: AgentId) -> int:
-        omitted = len(self.groups.get(receiver, ()))
-        return 1 + sum(len(rows) for rows in self.groups.values()) - omitted
+        return len(self.rows) - self.group_sizes.get(receiver, 0)
 
 
 class StegRouter:
@@ -174,10 +198,22 @@ class StegRouter:
         self.neighbors: dict[AgentId, NeighborEntry] = {}
         self.routes: dict[AgentId, RouteEntry] = {}
         self.table_version = 0
-        # sender -> (sender table version, own table version) at the time
-        # an identical update from that sender was last processed.
+        # Destinations in the order their route changed (_log) or got worse
+        # or was removed (_lost), and each log's length at the moment the
+        # table reached each version.
+        self._log: list[AgentId] = []
+        self._marks: list[int] = [0]
+        self._lost: list[AgentId] = []
+        self._lost_marks: list[int] = [0]
+        # sender -> (sender table version, own table version) right after
+        # a table from that sender was last processed.
         self._processed: dict[AgentId, tuple[int, int]] = {}
         self._batch_cache: Optional[UpdateBatch] = None
+
+    def _new_version(self) -> None:
+        self.table_version += 1
+        self._marks.append(len(self._log))
+        self._lost_marks.append(len(self._lost))
 
     # -- neighbor maintenance -------------------------------------------
 
@@ -226,7 +262,7 @@ class StegRouter:
         return sorted(
             nid
             for nid, entry in self.neighbors.items()
-            if entry.state(now, hold) is NeighborState.UP
+            if now - entry.last_hello_at <= hold
         )
 
     def hello_tick(self, now: float) -> list[AgentId]:
@@ -248,7 +284,7 @@ class StegRouter:
         expired = [
             nid
             for nid, entry in self.neighbors.items()
-            if entry.state(now, hold) is NeighborState.EXPIRED
+            if now - entry.last_hello_at > hold
         ]
         if expired:
             dead = set(expired)
@@ -260,15 +296,18 @@ class StegRouter:
             for dest in stale:
                 del self.routes[dest]
             if stale:
-                self.table_version += 1
+                self._log.extend(stale)
+                self._lost.extend(stale)
+                self._new_version()
         return expired
 
     # -- update emission --------------------------------------------------
 
     def build_update(self, now: float) -> Optional[UpdateBatch]:
         """Snapshot the table for one periodic emission: every route plus
-        the self row, split-horizon-grouped, addressed to all Up
-        neighbors.  Returns None when there is nobody to talk to."""
+        the self row, each with its next hop for split horizon, addressed
+        to all Up neighbors.  Returns None when there is nobody to talk
+        to."""
         self.expire_check(now)
         recipients = tuple(self.up_neighbors(now))
         if not recipients:
@@ -280,23 +319,22 @@ class StegRouter:
             and cached.recipients == recipients
         ):
             return cached
-        groups: dict[AgentId, list[Row]] = {}
-        for route in self.routes.values():
+        me = self.agent_id
+        rows: dict[AgentId, tuple[AgentId, Row]] = {me: (me, (me, math.inf, 0.0, 0, 0))}
+        group_sizes: dict[AgentId, int] = {}
+        for dest, route in self.routes.items():
             m = route.metric
-            row: Row = (
-                route.destination,
-                m.bottleneck_bps,
-                m.delay_s,
-                m.worst_rank,
-                m.hops,
-            )
-            groups.setdefault(route.next_hop, []).append(row)
+            hop = route.next_hop
+            rows[dest] = (hop, (dest, m.bottleneck_bps, m.delay_s, m.worst_rank, m.hops))
+            group_sizes[hop] = group_sizes.get(hop, 0) + 1
         batch = UpdateBatch(
-            sender=self.agent_id,
+            sender=me,
             sender_version=self.table_version,
-            self_row=(self.agent_id, math.inf, 0.0, 0, 0),
-            groups={hop: tuple(rows) for hop, rows in groups.items()},
+            rows=rows,
+            group_sizes=group_sizes,
             recipients=recipients,
+            log=self._log,
+            marks=self._marks,
         )
         self._batch_cache = batch
         return batch
@@ -311,73 +349,76 @@ class StegRouter:
         is always overwritten by its own next hop's latest advertisement;
         destinations our current next hop stopped advertising are
         invalidated; candidates beyond the hop limit count as absent;
-        metric ties go to the lower next-hop id.
+        metric ties go to the lower next-hop id.  The rules are applied
+        only to the destinations that can have changed since the sender's
+        last processed table (see the module docstring).
         """
         sender = batch.sender
         entry = self.neighbors.get(sender)
-        if entry is None or entry.state(now, self.timers.hold_time) is NeighborState.EXPIRED:
+        if entry is None or now - entry.last_hello_at > self.timers.hold_time:
             return False
+        routes = self.routes
+        rows = batch.rows
         seen = self._processed.get(sender)
-        if seen == (batch.sender_version, self.table_version):
-            return False
+        if seen is None or batch.sender_version < seen[0]:
+            candidates = set(rows)
+            candidates.update(
+                dest for dest, route in routes.items() if route.next_hop == sender
+            )
+        else:
+            marks = batch.marks
+            candidates = set(batch.log[marks[seen[0]] : marks[batch.sender_version]])
+            candidates.update(self._lost[self._lost_marks[seen[1]] :])
+        me = self.agent_id
+        candidates.discard(me)
 
         link_bw = entry.link_metric.bottleneck_bps
         link_delay = entry.link_metric.delay_s
         link_rank = entry.link_metric.worst_rank
         method = entry.best_method
-        me = self.agent_id
         hop_limit = self.hop_limit
-        routes = self.routes
-
-        advertised: dict[AgentId, tuple] = {}
-        row_groups = [(batch.self_row,)] + [
-            rows for hop, rows in batch.groups.items() if hop != me
-        ]
-        for rows in row_groups:
-            for dest, bw, delay, rank, hops in rows:
-                if dest == me:
-                    continue
-                total_hops = hops + 1
-                if total_hops > hop_limit:
-                    continue
-                advertised[dest] = (
-                    -min(bw, link_bw),
-                    delay + link_delay,
-                    max(rank, link_rank),
-                    total_hops,
-                )
-
+        log = self._log
+        lost = self._lost
         changed = False
-        for dest, key in advertised.items():
+        for dest in candidates:
             current = routes.get(dest)
-            if current is None:
-                adopt = True
-            elif current.next_hop == sender:
-                adopt = key != current.sort_key
-            else:
-                cur_key = current.sort_key
-                adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
-            if adopt:
-                routes[dest] = RouteEntry(
-                    destination=dest,
-                    next_hop=sender,
-                    metric=Metric(-key[0], key[1], key[2], key[3]),
-                    via_method=method,
-                    sort_key=key,
+            found = rows.get(dest)
+            if found is not None and found[0] != me and found[1][4] < hop_limit:
+                _, bw, delay, rank, hops = found[1]
+                key = (
+                    -(bw if bw < link_bw else link_bw),
+                    delay + link_delay,
+                    rank if rank > link_rank else link_rank,
+                    hops + 1,
                 )
+                if current is None:
+                    adopt = True
+                elif current.next_hop == sender:
+                    cur_key = current.sort_key
+                    adopt = key != cur_key
+                    if key > cur_key:
+                        lost.append(dest)
+                else:
+                    cur_key = current.sort_key
+                    adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
+                if adopt:
+                    routes[dest] = RouteEntry(
+                        destination=dest,
+                        next_hop=sender,
+                        metric=Metric(-key[0], key[1], key[2], key[3]),
+                        via_method=method,
+                        sort_key=key,
+                    )
+                    log.append(dest)
+                    changed = True
+            elif current is not None and current.next_hop == sender:
+                del routes[dest]
+                log.append(dest)
+                lost.append(dest)
                 changed = True
 
-        withdrawn = [
-            dest
-            for dest, route in routes.items()
-            if route.next_hop == sender and dest not in advertised
-        ]
-        for dest in withdrawn:
-            del routes[dest]
-            changed = True
-
         if changed:
-            self.table_version += 1
+            self._new_version()
         self._processed[sender] = (batch.sender_version, self.table_version)
         return changed
 

@@ -14,7 +14,7 @@ import sys
 
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
-from stegrouter.router import RouterTimers, StegRouter
+from stegrouter.router import Metric, NeighborState, RouteEntry, RouterTimers, StegRouter
 
 DEFAULT_TABLE = method_table(DEFAULT_METHODS)
 
@@ -55,6 +55,73 @@ def run_rounds(routers, max_rounds=200, now=0.0):
         if not changed:
             return rounds
     raise AssertionError(f"no fixpoint within {max_rounds} rounds")
+
+
+def reference_process_update(router, batch, now):
+    """The full-table update rule, applied to every row of the batch on
+    every call: the specification that `StegRouter.process_update` must
+    match step for step.  Mutates `router` exactly as that method does
+    (routes, table version, the per-sender memo) and returns whether its
+    table changed."""
+    sender = batch.sender
+    entry = router.neighbors.get(sender)
+    if entry is None or entry.state(now, router.timers.hold_time) is NeighborState.EXPIRED:
+        return False
+    seen = router._processed.get(sender)
+    if seen == (batch.sender_version, router.table_version):
+        return False
+
+    link = entry.link_metric
+    me = router.agent_id
+    routes = router.routes
+
+    advertised = {}
+    for dest, bw, delay, rank, hops in batch.rows_for(me):
+        if dest == me:
+            continue
+        total_hops = hops + 1
+        if total_hops > router.hop_limit:
+            continue
+        advertised[dest] = (
+            -min(bw, link.bottleneck_bps),
+            delay + link.delay_s,
+            max(rank, link.worst_rank),
+            total_hops,
+        )
+
+    changed = False
+    for dest, key in advertised.items():
+        current = routes.get(dest)
+        if current is None:
+            adopt = True
+        elif current.next_hop == sender:
+            adopt = key != current.sort_key
+        else:
+            cur_key = current.sort_key
+            adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
+        if adopt:
+            routes[dest] = RouteEntry(
+                destination=dest,
+                next_hop=sender,
+                metric=Metric(-key[0], key[1], key[2], key[3]),
+                via_method=entry.best_method,
+                sort_key=key,
+            )
+            changed = True
+
+    withdrawn = [
+        dest
+        for dest, route in routes.items()
+        if route.next_hop == sender and dest not in advertised
+    ]
+    for dest in withdrawn:
+        del routes[dest]
+        changed = True
+
+    if changed:
+        router.table_version += 1
+    router._processed[sender] = (batch.sender_version, router.table_version)
+    return changed
 
 
 def converge(capabilities, profiles=DEFAULT_TABLE, hop_limit=32):

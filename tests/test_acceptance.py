@@ -89,10 +89,10 @@ class TestCriterion2:
         # Each oracle run is an independent 95% interval, so even a perfect
         # closed form misses >= 2 of 15 in roughly one five-seed panel out
         # of six.  Measured containment over 90 independent oracle runs is
-        # 86/90 = 95.6% (see the decisions ledger for the full table); the
-        # panel pinned here is the first consecutive-seed block showing the
-        # majority outcome, kept as a deterministic regression pin.  The
-        # coverage-rate property itself is asserted in the anonymity tests.
+        # 86/90 = 95.6% (README "Expected failures"); the panel pinned here
+        # is the first consecutive-seed block showing the majority outcome,
+        # kept as a deterministic regression pin.  The coverage-rate
+        # property itself is asserted in the anonymity tests.
         hits = 0
         for c in (1, 2, 3):
             s = AdversaryScenario(10, c, 0.75)
@@ -221,9 +221,9 @@ class TestCriterion8:
     def test_overhead_band(self, n250_reports):
         # KNOWN RED: with the documented message sizes and timer constants,
         # per-link protocol traffic lands near 0.21 kbps, an order of
-        # magnitude under the [2, 50] kbps band.  Reaching 2 kbps needs
-        # roughly 40x the wire bytes or update rate, which would contradict
-        # the fixed constants.  Arithmetic in README "Expected failures".
+        # magnitude under the [2, 50] kbps band.  2 kbps is about 10x the
+        # measured 0.209 kbps and about 5x the ~0.43 kbps ceiling of the
+        # fixed constants.  Arithmetic in README "Expected failures".
         mean_bps = self.panel_mean(n250_reports,
                                    lambda f: f.routing_overhead_per_link_bps)
         ok = 2000.0 <= mean_bps <= 50000.0

@@ -1,0 +1,46 @@
+"""Golden digests: the report bytes of a fixed config panel must not move.
+
+Each digest is the SHA-256 of `"\\n".join(run_report_lines(run(cfg)))`.
+A change to the simulator that is meant to keep its behaviour (a speed-up,
+a refactor) must leave every digest as it is.  A change that moves the
+bytes on purpose updates the digests here and names the change in
+CHANGES.md.
+"""
+
+import hashlib
+
+import pytest
+
+from stegrouter.sim import SimConfig, run, run_report_lines
+
+from harness import dyadic_delay_methods
+
+GOLDEN = {
+    "n250-seed1": (
+        SimConfig(seed=1),
+        "707bc936807e988a1d8b44cf84388be1ee21d0db59454bb64a6b93ac4918e292",
+    ),
+    "n250-seed2": (
+        SimConfig(seed=2),
+        "3c0b2e549a3fd8c934f7ddfb7240c9cf70c2953582eba4f1cebcd0e3f722f04f",
+    ),
+    "n250-seed3": (
+        SimConfig(seed=3),
+        "d123bbb07d235c984fdb07b66bc47f2c8f626656876f09b1211523e546f27f8d",
+    ),
+    "n250-churn-seed1": (
+        SimConfig(migration_rate=1 / 60, seed=1),
+        "230ccf12f876ec14f595b5badb7761b535c24f27067374f3e5b6d662b58ae601",
+    ),
+    "n250-dyadic-catalogue-seed1": (
+        SimConfig(methods=dyadic_delay_methods(1), seed=1),
+        "ca9994f0c4bad1f188ec2d17d69e8286351b4f80452b9de59d092b98315d292a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN))
+def test_report_digest_is_pinned(name):
+    cfg, expected = GOLDEN[name]
+    text = "\n".join(run_report_lines(run(cfg)))
+    assert hashlib.sha256(text.encode()).hexdigest() == expected

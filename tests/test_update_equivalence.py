@@ -1,0 +1,187 @@
+"""Incremental update processing equals the full-table rule, step by step.
+
+Two copies of one small network are driven through the same random
+sequence of steps.  One copy processes updates with
+`StegRouter.process_update`, which re-examines only the destinations that
+can have changed since the sender's last processed table; the other
+applies `harness.reference_process_update`, the full-table rule, to every
+row of every batch.  After each step both copies must hold the same
+routes (next hop, metric, method), the same table versions, and every
+call must have returned the same value.
+
+Steps cover what the simulator does and the orders it never produces:
+periodic emission to all Up neighbors or to one of them, a past batch
+delivered again (a duplicate, or a stale batch after a newer one), time
+passing with hellos that skip silenced links, silent neighbor loss
+followed by expiry checks, and (re-)discovery of a pair after its link
+expired.
+"""
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, method_table
+
+from harness import build_routers, dyadic_delay_methods, form_all_links, reference_process_update
+
+# Equal bandwidths and delays, so many candidate keys tie and the
+# lower-next-hop rule decides.
+TIED_METHODS = (
+    StegMethodProfile("a", "A", 100.0, 0.0, 1.0, 1),
+    StegMethodProfile("b", "B", 100.0, 0.25, 1.0, 2),
+    StegMethodProfile("c", "C", 50.0, 0.0, 1.0, 3),
+    StegMethodProfile("d", "D", 100.0, 0.0, 1.0, 4),
+)
+# Wide carriers are slow and narrow ones fast: a path that gets wider for
+# one router can get slower for the router behind a narrow link, so a
+# route can be overwritten with a worse one by its own next hop.
+SKEWED_METHODS = (
+    StegMethodProfile("wide", "Wide", 300.0, 1.0, 1.0, 1),
+    StegMethodProfile("mid", "Mid", 200.0, 0.5, 1.0, 2),
+    StegMethodProfile("narrow", "Narrow", 100.0, 0.0, 1.0, 3),
+)
+CATALOGUES = (DEFAULT_METHODS, dyadic_delay_methods(7), TIED_METHODS, SKEWED_METHODS)
+KINDS = ("emit", "emit_one", "redeliver", "tick", "expire", "silence", "lose", "discover")
+
+
+class Network:
+    """A network of routers on one clock, whose received batches go
+    through `process`."""
+
+    def __init__(self, capabilities, profiles, hop_limit, process):
+        self.routers = build_routers(capabilities, profiles, hop_limit=hop_limit)
+        form_all_links(self.routers)
+        self.ids = sorted(self.routers)
+        self.process = process
+        self.now = 0.0
+        self.silent = set()
+        self.history = []
+        # pairs that share a method, so silencing or re-discovering one
+        # always touches a link
+        self.pairs = [(u, v) for u in self.ids for v in self.ids
+                      if u < v and self.routers[u].capabilities & self.routers[v].capabilities]
+
+    def deliver(self, batch, recipients):
+        return [self.process(self.routers[r], batch, self.now) for r in recipients]
+
+    def tick(self, seconds):
+        """Let time pass, then every router hellos its Up neighbors over
+        every link that is not silenced."""
+        self.now += seconds
+        for sender in self.ids:
+            for peer in self.routers[sender].hello_tick(self.now):
+                if frozenset((sender, peer)) not in self.silent:
+                    self.routers[peer].receive_hello(sender, self.now)
+
+    def expire(self):
+        return [self.routers[i].expire_check(self.now) for i in self.ids]
+
+    def step(self, kind, a, b):
+        """Apply one step; returns everything the routers returned."""
+        ids, routers = self.ids, self.routers
+        if kind in ("emit", "emit_one"):
+            batch = routers[ids[a % len(ids)]].build_update(self.now)
+            if batch is None:
+                return None
+            self.history.append(batch)
+            recipients = batch.recipients
+            if kind == "emit_one":
+                recipients = (recipients[b % len(recipients)],)
+            return self.deliver(batch, recipients)
+        if kind == "redeliver":
+            if not self.history:
+                return None
+            batch = self.history[a % len(self.history)]
+            return self.deliver(batch, (batch.recipients[b % len(batch.recipients)],))
+        if kind == "tick":
+            self.tick((1.0, 5.0, 10.0)[a % 3])
+            return None
+        if kind == "expire":
+            return self.expire()
+        if not self.pairs:
+            return None
+        first, second = self.pairs[a % len(self.pairs)]
+        if kind == "silence":
+            self.silent.add(frozenset((first, second)))
+            return None
+        if kind == "lose":
+            # silent neighbor loss: the link outlives its hold time while
+            # every other link keeps hearing hellos, then expiry runs
+            self.silent.add(frozenset((first, second)))
+            self.tick(8.0)
+            self.tick(8.0)
+            return self.expire()
+        self.silent.discard(frozenset((first, second)))
+        return [
+            routers[first].ingest_discovery(second, routers[second].capabilities, self.now),
+            routers[second].ingest_discovery(first, routers[first].capabilities, self.now),
+        ]
+
+    def state(self):
+        return {
+            agent_id: (
+                router.table_version,
+                {
+                    dest: (route.next_hop, route.metric, route.via_method)
+                    for dest, route in router.routes.items()
+                },
+            )
+            for agent_id, router in self.routers.items()
+        }
+
+
+@st.composite
+def scenarios(draw):
+    methods = draw(st.sampled_from(CATALOGUES))
+    ids = [m.id for m in methods]
+    n = draw(st.integers(2, 8))
+    capabilities = {
+        agent_id: frozenset(draw(st.sets(st.sampled_from(ids), min_size=1, max_size=2)))
+        for agent_id in range(n)
+    }
+    hop_limit = draw(st.sampled_from((2, 3, 32)))
+    steps = draw(st.lists(
+        st.tuples(st.sampled_from(KINDS), st.integers(0, 63), st.integers(0, 63)),
+        min_size=10, max_size=80,
+    ))
+    return method_table(methods), capabilities, hop_limit, steps
+
+
+def incremental(router, batch, now):
+    return router.process_update(batch, now)
+
+
+# Found by random search against broken variants of process_update, and
+# rare under random generation, so pinned.  After a link loss, a sender's
+# withdrawal must reach a receiver that routes via that sender:
+@example((
+    method_table(DEFAULT_METHODS),
+    {0: frozenset({"internet", "audio"}), 1: frozenset({"text", "audio"}),
+     2: frozenset({"audio"}), 3: frozenset({"hiccups", "video"}),
+     4: frozenset({"internet"}), 5: frozenset({"text"}), 6: frozenset({"video"})},
+    3,
+    [("lose", 56, 51), ("emit", 0, 5), ("emit", 43, 14)],
+))
+# and a route overwritten with a worse one by its own next hop must let an
+# unchanged row from another sender win:
+@example((
+    method_table(SKEWED_METHODS),
+    {0: frozenset({"narrow", "mid"}), 1: frozenset({"wide"}),
+     2: frozenset({"mid", "wide"}), 3: frozenset({"narrow"}),
+     4: frozenset({"narrow", "wide"})},
+    32,
+    [("lose", 32, 1), ("emit", 60, 39), ("emit", 4, 15), ("emit", 5, 53)],
+))
+@settings(max_examples=300, deadline=None)
+@given(scenarios())
+def test_incremental_matches_full_table_rule(scenario):
+    profiles, capabilities, hop_limit, steps = scenario
+    fast = Network(capabilities, profiles, hop_limit, incremental)
+    full = Network(capabilities, profiles, hop_limit, reference_process_update)
+    # a few rounds of emission first, so the random steps act on tables
+    # that hold multi-hop routes
+    warm_up = [("emit", i, 0) for i in range(len(capabilities))] * 3
+    for number, (kind, a, b) in enumerate(warm_up + steps):
+        returned = fast.step(kind, a, b)
+        assert returned == full.step(kind, a, b), (number, kind)
+        assert fast.state() == full.state(), (number, kind)
