@@ -2,57 +2,4 @@
 capability discovery by random walks, distance-vector routing over
 steganographic links, and closed-form sender-anonymity entropy."""
 
-from .anonymity import (
-    AdversaryScenario,
-    AttackKind,
-    EntropyReport,
-    InvalidScenarioError,
-    MonteCarloEntropy,
-    adaptive_entropy,
-    escape_probability,
-    mean_path_length,
-    monte_carlo_entropy,
-    predecessor_probability,
-    recommended_pf_range,
-    sender_distribution,
-    static_entropy,
-)
-from .core import (
-    AgentKind,
-    AgentRecord,
-    DEFAULT_METHODS,
-    Message,
-    MessageKind,
-    MessageSizes,
-    StegLink,
-    StegMethodProfile,
-    build_steg_link,
-    derive_capabilities,
-    method_table,
-)
-from .router import (
-    Metric,
-    NeighborEntry,
-    NeighborState,
-    RouteEntry,
-    RouterTimers,
-    StegRouter,
-    ZERO_METRIC,
-    best_method_on_link,
-    combine_metrics,
-    compare_metrics,
-    metric_of_link,
-    reference_tables,
-    resolve_steg_path,
-)
-from .sim import (
-    ConfigError,
-    MetricsFrame,
-    Platform,
-    RunReport,
-    SimConfig,
-    run,
-)
-from .walk import WalkState, advance_walk, choose_next_proxy, forward_decision, run_walk
-
 __version__ = "0.1.0"

@@ -163,10 +163,9 @@ def _resolve_config(args: argparse.Namespace) -> SimConfig:
 
 def _merge(base: dict, extra: Mapping) -> None:
     for key, value in extra.items():
-        if key in ("timers", "sizes") and key in base:
-            merged = dict(base[key])
-            merged.update(value)
-            base[key] = merged
+        old = base.get(key)
+        if key in ("timers", "sizes") and isinstance(old, Mapping) and isinstance(value, Mapping):
+            base[key] = {**old, **value}
         else:
             base[key] = value
 

@@ -1,5 +1,5 @@
 """Domain model for the covert overlay: agents, steganographic carrier
-methods, steg-links, and protocol messages.
+methods, and the kinds and wire sizes of protocol messages.
 
 Two agent kinds exist on the platform.  Ordinary agents only relay
 anonymous traffic; steg-capable agents additionally hold a non-empty set
@@ -8,8 +8,9 @@ intersect.
 """
 from __future__ import annotations
 
+import math
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Optional, Sequence
 
@@ -35,10 +36,10 @@ class StegMethodProfile:
     preference_rank: int
 
     def __post_init__(self) -> None:
-        if self.bandwidth_bps <= 0:
-            raise ValueError(f"method {self.id!r}: bandwidth must be positive")
-        if self.delay_s < 0:
-            raise ValueError(f"method {self.id!r}: delay must be >= 0")
+        if not 0 < self.bandwidth_bps < math.inf:
+            raise ValueError(f"method {self.id!r}: bandwidth must be positive and finite")
+        if not 0 <= self.delay_s < math.inf:
+            raise ValueError(f"method {self.id!r}: delay must be >= 0 and finite")
         if not 0 < self.occurrence <= 1:
             raise ValueError(f"method {self.id!r}: occurrence must be in (0, 1]")
         if self.preference_rank < 1:
@@ -106,49 +107,11 @@ def derive_capabilities(
             return caps
 
 
-@dataclass(frozen=True, slots=True)
-class StegLink:
-    """Covert channel between two steg agents; exists exactly when their
-    capability sets intersect.  Endpoint ids are stored low, high."""
-
-    a: AgentId
-    b: AgentId
-    methods: frozenset[StegMethodId]
-
-    def __post_init__(self) -> None:
-        if self.a >= self.b:
-            raise ValueError("link endpoints must satisfy a < b")
-        if not self.methods:
-            raise ValueError("a steg-link needs at least one shared method")
-
-    @property
-    def key(self) -> tuple[AgentId, AgentId]:
-        return (self.a, self.b)
-
-    def peer_of(self, agent: AgentId) -> AgentId:
-        if agent == self.a:
-            return self.b
-        if agent == self.b:
-            return self.a
-        raise ValueError(f"agent {agent} is not an endpoint of {self.key}")
-
-
-def build_steg_link(x: AgentRecord, y: AgentRecord) -> Optional[StegLink]:
-    """Link two agents if both are live steg agents sharing a method."""
-    if x.id == y.id:
-        return None
-    if x.kind is not AgentKind.STEG or y.kind is not AgentKind.STEG:
-        return None
-    if not (x.alive and y.alive):
-        return None
-    shared = x.capabilities & y.capabilities
-    if not shared:
-        return None
-    lo, hi = sorted((x.id, y.id))
-    return StegLink(lo, hi, shared)
-
-
 class MessageKind(Enum):
+    """Traffic classes of the accounting totals.  The simulator sends no
+    DATA message, so its total stays zero; it is kept because the report
+    lists a total for every kind."""
+
     DISCOVERY = "discovery"
     HELLO = "hello"
     ROUTING_UPDATE = "routing_update"
@@ -172,47 +135,3 @@ class MessageSizes:
     def update_payload(self, rows: int) -> int:
         """Payload bytes of a routing update carrying `rows` table rows."""
         return self.update_header + self.update_entry * rows
-
-
-@dataclass(frozen=True, slots=True)
-class Message:
-    """A platform message.  Discovery payloads are padded to a constant
-    size, so a relay cannot tell advertisement traffic from ordinary
-    anonymous traffic."""
-
-    kind: MessageKind
-    source: Optional[AgentId]
-    destination: Optional[AgentId]
-    payload_bytes: int
-    steg_content: object = None
-
-
-def discovery_message(
-    advertiser: AgentId,
-    capabilities: frozenset[StegMethodId],
-    sizes: MessageSizes = MessageSizes(),
-) -> Message:
-    """Capability advertisement embedded in an anonymous carrier message."""
-    return Message(
-        kind=MessageKind.DISCOVERY,
-        source=None,
-        destination=None,
-        payload_bytes=sizes.discovery,
-        steg_content=(advertiser, capabilities),
-    )
-
-
-def anonymous_message(
-    source: AgentId,
-    destination: Optional[AgentId] = None,
-    sizes: MessageSizes = MessageSizes(),
-) -> Message:
-    """Plain anonymous message with no embedded steg content; same wire
-    size as a discovery advertisement."""
-    return Message(
-        kind=MessageKind.DATA,
-        source=source,
-        destination=destination,
-        payload_bytes=sizes.discovery,
-        steg_content=None,
-    )

@@ -29,72 +29,27 @@ last one processed is applied in full.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from enum import Enum
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from dataclasses import dataclass
+from typing import Iterable, Iterator, Mapping, Optional
 
-from .core import AgentId, StegLink, StegMethodId, StegMethodProfile
+from .core import AgentId, StegMethodId, StegMethodProfile
 
-
-@dataclass(frozen=True, slots=True)
-class Metric:
-    """Composable path quality; combining never improves any component."""
-
-    bottleneck_bps: float
-    delay_s: float
-    worst_rank: int
-    hops: int
-
-    @property
-    def sort_key(self) -> tuple:
-        return (-self.bottleneck_bps, self.delay_s, self.worst_rank, self.hops)
-
-
-#: Identity element for combine_metrics; the metric of reaching oneself.
-ZERO_METRIC = Metric(math.inf, 0.0, 0, 0)
-
-
-def compare_metrics(a: Metric, b: Metric) -> int:
-    """-1 if a is the better path metric, 1 if b is, 0 on a tie."""
-    ka, kb = a.sort_key, b.sort_key
-    if ka < kb:
-        return -1
-    if ka > kb:
-        return 1
-    return 0
-
-
-def combine_metrics(a: Metric, b: Metric) -> Metric:
-    """Metric of a path made by joining two path segments."""
-    return Metric(
-        min(a.bottleneck_bps, b.bottleneck_bps),
-        a.delay_s + b.delay_s,
-        max(a.worst_rank, b.worst_rank),
-        a.hops + b.hops,
-    )
-
-
-def _single_link_key(profile: StegMethodProfile) -> tuple:
-    return (-profile.bandwidth_bps, profile.delay_s, profile.preference_rank)
+#: Route quality as one comparable tuple (lower is better):
+#: (-bottleneck_bps, delay_s, worst_rank, hops).
+Key = tuple[float, float, int, int]
 
 
 def best_method_on_link(
-    link: StegLink, profiles: Mapping[StegMethodId, StegMethodProfile]
+    methods: Iterable[StegMethodId], profiles: Mapping[StegMethodId, StegMethodProfile]
 ) -> StegMethodId:
-    """The shared method whose one-hop metric wins under compare_metrics."""
-    return min(link.methods, key=lambda m: _single_link_key(profiles[m]))
+    """The shared method with the best one-hop metric: widest, then
+    fastest, then lowest preference rank."""
 
+    def one_hop(method: StegMethodId) -> tuple:
+        p = profiles[method]
+        return (-p.bandwidth_bps, p.delay_s, p.preference_rank)
 
-def metric_of_link(
-    link: StegLink,
-    method: StegMethodId,
-    profiles: Mapping[StegMethodId, StegMethodProfile],
-) -> Metric:
-    """One-hop metric of carrying traffic over `link` with `method`."""
-    if method not in link.methods:
-        raise ValueError(f"method {method!r} not available on link {link.key}")
-    profile = profiles[method]
-    return Metric(profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1)
+    return min(methods, key=one_hop)
 
 
 @dataclass(frozen=True, slots=True)
@@ -104,42 +59,31 @@ class RouterTimers:
     update_interval: float = 30.0
 
     def __post_init__(self) -> None:
+        for value in (self.hello_interval, self.hold_time, self.update_interval):
+            if not math.isfinite(value):
+                raise ValueError("timer values must be finite")
         if self.hello_interval <= 0 or self.update_interval <= 0:
             raise ValueError("timer intervals must be positive")
         if self.hold_time <= self.hello_interval:
             raise ValueError("hold_time must exceed hello_interval")
 
 
-class NeighborState(Enum):
-    UP = "up"
-    EXPIRED = "expired"
-
-
 @dataclass(slots=True)
 class NeighborEntry:
-    neighbor: AgentId
-    link: StegLink
-    best_method: StegMethodId
-    link_metric: Metric
-    last_hello_at: float
+    """A steg-link as one endpoint sees it: the method it sends over, that
+    method's one-hop key, and when the peer was last heard from.  The peer
+    counts as Up while `now - last_hello_at <= hold_time`."""
 
-    def state(self, now: float, hold_time: float) -> NeighborState:
-        if now - self.last_hello_at > hold_time:
-            return NeighborState.EXPIRED
-        return NeighborState.UP
+    best_method: StegMethodId
+    link_key: Key
+    last_hello_at: float
 
 
 @dataclass(frozen=True, slots=True)
 class RouteEntry:
-    destination: AgentId
     next_hop: AgentId
-    metric: Metric
+    key: Key
     via_method: StegMethodId  # method used on the first steg-link of the path
-    sort_key: tuple = ()  # cached metric.sort_key; comparisons are the hot path
-
-    def __post_init__(self) -> None:
-        if not self.sort_key:
-            object.__setattr__(self, "sort_key", self.metric.sort_key)
 
 
 # A table row on the wire: (destination, bottleneck_bps, delay_s, worst_rank, hops).
@@ -234,20 +178,17 @@ class StegRouter:
             return False
         entry = self.neighbors.get(advertiser)
         if entry is not None:
-            fresh = entry.state(now, self.timers.hold_time) is NeighborState.UP
+            fresh = now - entry.last_hello_at <= self.timers.hold_time
             entry.last_hello_at = now
             if fresh:
                 return False
             self._processed.pop(advertiser, None)
             return True
-        lo, hi = sorted((self.agent_id, advertiser))
-        link = StegLink(lo, hi, shared)
-        method = best_method_on_link(link, self.profiles)
+        method = best_method_on_link(shared, self.profiles)
+        profile = self.profiles[method]
         self.neighbors[advertiser] = NeighborEntry(
-            neighbor=advertiser,
-            link=link,
             best_method=method,
-            link_metric=metric_of_link(link, method, self.profiles),
+            link_key=(-profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1),
             last_hello_at=now,
         )
         return True
@@ -323,9 +264,9 @@ class StegRouter:
         rows: dict[AgentId, tuple[AgentId, Row]] = {me: (me, (me, math.inf, 0.0, 0, 0))}
         group_sizes: dict[AgentId, int] = {}
         for dest, route in self.routes.items():
-            m = route.metric
+            key = route.key
             hop = route.next_hop
-            rows[dest] = (hop, (dest, m.bottleneck_bps, m.delay_s, m.worst_rank, m.hops))
+            rows[dest] = (hop, (dest, -key[0], key[1], key[2], key[3]))
             group_sizes[hop] = group_sizes.get(hop, 0) + 1
         batch = UpdateBatch(
             sender=me,
@@ -372,9 +313,8 @@ class StegRouter:
         me = self.agent_id
         candidates.discard(me)
 
-        link_bw = entry.link_metric.bottleneck_bps
-        link_delay = entry.link_metric.delay_s
-        link_rank = entry.link_metric.worst_rank
+        neg_link_bw, link_delay, link_rank, _ = entry.link_key
+        link_bw = -neg_link_bw
         method = entry.best_method
         hop_limit = self.hop_limit
         log = self._log
@@ -394,21 +334,15 @@ class StegRouter:
                 if current is None:
                     adopt = True
                 elif current.next_hop == sender:
-                    cur_key = current.sort_key
+                    cur_key = current.key
                     adopt = key != cur_key
                     if key > cur_key:
                         lost.append(dest)
                 else:
-                    cur_key = current.sort_key
+                    cur_key = current.key
                     adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
                 if adopt:
-                    routes[dest] = RouteEntry(
-                        destination=dest,
-                        next_hop=sender,
-                        metric=Metric(-key[0], key[1], key[2], key[3]),
-                        via_method=method,
-                        sort_key=key,
-                    )
+                    routes[dest] = RouteEntry(sender, key, method)
                     log.append(dest)
                     changed = True
             elif current is not None and current.next_hop == sender:
@@ -430,10 +364,10 @@ class StegRouter:
         lines = ["dest next_hop method bottleneck_bps delay_s rank hops"]
         for dest in sorted(self.routes):
             r = self.routes[dest]
-            m = r.metric
+            key = r.key
             lines.append(
-                f"{dest} {r.next_hop} {r.via_method} {m.bottleneck_bps:g} "
-                f"{m.delay_s:g} {m.worst_rank} {m.hops}"
+                f"{dest} {r.next_hop} {r.via_method} {-key[0]:g} "
+                f"{key[1]:g} {key[2]} {key[3]}"
             )
         return "\n".join(lines)
 
@@ -462,9 +396,7 @@ def resolve_steg_path(
             return None
         if now is not None:
             entry = router.neighbors.get(route.next_hop)
-            if entry is None or entry.state(
-                now, router.timers.hold_time
-            ) is NeighborState.EXPIRED:
+            if entry is None or now - entry.last_hello_at > router.timers.hold_time:
                 return None
         if route.next_hop in visited:
             return None
@@ -495,8 +427,7 @@ def reference_tables(
             shared = capabilities[u] & capabilities[v]
             if not shared:
                 continue
-            best = min(shared, key=lambda m: _single_link_key(profiles[m]))
-            p = profiles[best]
+            p = profiles[best_method_on_link(shared, profiles)]
             links.append((u, v, p.bandwidth_bps, p.delay_s, p.preference_rank))
 
     tables: dict[AgentId, dict[AgentId, tuple]] = {u: {} for u in ids}

@@ -15,6 +15,7 @@ import dataclasses
 import heapq
 import io
 import json
+import math
 import os
 import random
 import tempfile
@@ -33,12 +34,12 @@ from .core import (
     DEFAULT_METHODS,
     MessageKind,
     MessageSizes,
+    StegMethodId,
     StegMethodProfile,
     derive_capabilities,
-    discovery_message,
     method_table,
 )
-from .router import RouterTimers, StegRouter
+from .router import RouterTimers, StegRouter, best_method_on_link
 from .walk import run_walk
 
 
@@ -66,6 +67,12 @@ class SimConfig:
     methods: tuple[StegMethodProfile, ...] = DEFAULT_METHODS
 
     def __post_init__(self) -> None:
+        for name in (
+            "duration", "sa_fraction", "p_f", "migration_rate",
+            "sampling_interval", "discovery_interval", "walk_hop_latency",
+        ):
+            if not math.isfinite(getattr(self, name)):
+                raise ConfigError(f"{name} must be finite")
         if self.duration < 0:
             raise ConfigError("duration must be >= 0")
         if self.n_agents < 1:
@@ -148,34 +155,33 @@ class SimConfig:
             except (TypeError, ValueError):
                 raise ConfigError(f"bad value for {name}: {value!r}") from None
 
+        def section(label: str, known: dict, value: object) -> dict:
+            if not isinstance(value, Mapping):
+                raise ConfigError(f"{label} must be a mapping, got {value!r}")
+            fields = {}
+            for k, v in value.items():
+                if k not in known:
+                    raise ConfigError(f"unknown {label} field {k!r}")
+                fields[k] = convert(f"{label}.{k}", known[k], v)
+            return fields
+
         kwargs: dict = {}
         for key, value in mapping.items():
             if key in scalars:
                 kwargs[key] = convert(key, scalars[key], value)
             elif key == "timers":
-                fields = {}
-                for k, v in dict(value).items():
-                    if k not in timer_fields:
-                        raise ConfigError(f"unknown timer field {k!r}")
-                    fields[k] = convert(f"timers.{k}", timer_fields[k], v)
+                fields = section("timers", timer_fields, value)
                 kwargs["timers"] = _build("timers", RouterTimers, fields)
             elif key == "sizes":
-                fields = {}
-                for k, v in dict(value).items():
-                    if k not in size_fields:
-                        raise ConfigError(f"unknown size field {k!r}")
-                    fields[k] = convert(f"sizes.{k}", size_fields[k], v)
+                fields = section("sizes", size_fields, value)
                 kwargs["sizes"] = _build("sizes", MessageSizes, fields)
             elif key == "methods":
-                methods = []
-                for entry in value:
-                    fields = {}
-                    for k, v in dict(entry).items():
-                        if k not in method_fields:
-                            raise ConfigError(f"unknown method field {k!r}")
-                        fields[k] = convert(f"method.{k}", method_fields[k], v)
-                    methods.append(_build("method", StegMethodProfile, fields))
-                kwargs["methods"] = tuple(methods)
+                if not isinstance(value, (list, tuple)):
+                    raise ConfigError(f"methods must be a list of mappings, got {value!r}")
+                kwargs["methods"] = tuple(
+                    _build("method", StegMethodProfile, section("method", method_fields, entry))
+                    for entry in value
+                )
             else:
                 raise ConfigError(f"unknown config key {key!r}")
         try:
@@ -255,7 +261,6 @@ class EventKernel:
 class _Topology:
     """Cached view of the current steg-link graph (alive SAs only)."""
 
-    sa_ids: tuple[AgentId, ...]
     n_links: int
     sum_best_bw: float
     connected_pairs: int
@@ -282,7 +287,7 @@ class Platform:
         self._alive_sas: list[AgentId] = []
         self._mask: dict[AgentId, int] = {}
         self._bit = {p.id: 1 << i for i, p in enumerate(config.methods)}
-        self._bw_by_mask = _best_bandwidth_by_mask(config.methods)
+        self._bw_by_mask = _best_bandwidth_by_mask(self.profiles)
         self._population_version = 0
         self._topology: Optional[_Topology] = None
         self._topology_version = -1
@@ -307,9 +312,9 @@ class Platform:
     def _build_population(self) -> None:
         cfg = self.config
         n = cfg.n_agents
-        sa_ids = set(self._rng_population.sample(range(n), cfg.n_steg_agents))
+        steg_ids = set(self._rng_population.sample(range(n), cfg.n_steg_agents))
         for agent_id in range(n):
-            if agent_id in sa_ids:
+            if agent_id in steg_ids:
                 caps = derive_capabilities(self._rng_population, cfg.methods)
                 self._add_agent(agent_id, AgentKind.STEG, caps, joined_at=0.0)
             else:
@@ -483,8 +488,7 @@ class Platform:
             return
         cfg = self.config
         if len(self._alive) >= 2:
-            message = discovery_message(agent_id, record.capabilities, cfg.sizes)
-            path = run_walk(agent_id, message, cfg.p_f, self._alive, self._rng_walks)
+            path = run_walk(agent_id, cfg.p_f, self._alive, self._rng_walks)
             hops = len(path) - 1
             self.kernel.schedule(
                 now + hops * cfg.walk_hop_latency, _Ev.WALK_DELIVER, path[-1], (agent_id, hops)
@@ -566,22 +570,15 @@ class Platform:
         )
 
     def convergence_level(self) -> float:
-        """Fraction of reachable ordered SA pairs with an installed route;
-        pairs disconnected in the steg-link graph are unroutable by
-        construction and excluded.  Vacuously 1.0 with fewer than 2 SAs."""
-        topo = self._current_topology()
-        if topo.connected_pairs == 0:
-            return 1.0
-        return self._routed_pairs() / topo.connected_pairs
-
-    def convergence_level_all_pairs(self) -> float:
-        """Same numerator over all ordered alive-SA pairs, reachable or not."""
-        n = len(self._alive_sas)
-        if n < 2:
-            return 1.0
-        return self._routed_pairs() / (n * (n - 1))
+        """The convergence level a sample taken now would record."""
+        return self._measure(self.now).convergence_level
 
     def _measure(self, now: float) -> MetricsFrame:
+        """The four meters at `now`.  Convergence is the fraction of
+        reachable ordered SA pairs with an installed route; pairs
+        disconnected in the steg-link graph are unroutable by construction
+        and excluded, and the level is vacuously 1.0 when no pair is
+        reachable.  The all-pairs level uses every ordered alive-SA pair."""
         topo = self._current_topology()
         window = now - self._last_sample_t
         routed = self._routed_pairs()
@@ -644,28 +641,27 @@ def _first_sustained_full(frames: Sequence[MetricsFrame]) -> Optional[float]:
     return frames[last_below + 1].time
 
 
-def _best_bandwidth_by_mask(methods: Sequence[StegMethodProfile]) -> np.ndarray:
-    """bandwidth of the preferred method for every capability-intersection
-    bitmask; index 0 (no shared method) maps to 0.0."""
-    table = np.zeros(1 << len(methods), dtype=np.float64)
-    for mask in range(1, 1 << len(methods)):
-        present = [m for i, m in enumerate(methods) if mask >> i & 1]
-        best = min(
-            present, key=lambda m: (-m.bandwidth_bps, m.delay_s, m.preference_rank)
-        )
-        table[mask] = best.bandwidth_bps
+def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) -> np.ndarray:
+    """Bandwidth of the best method on a link for every capability-
+    intersection bitmask, bit i standing for the i-th profile; index 0 (no
+    shared method) maps to 0.0."""
+    ids = list(profiles)
+    table = np.zeros(1 << len(ids), dtype=np.float64)
+    for mask in range(1, 1 << len(ids)):
+        shared = [m for i, m in enumerate(ids) if mask >> i & 1]
+        table[mask] = profiles[best_method_on_link(shared, profiles)].bandwidth_bps
     return table
 
 
 def _build_topology(
-    sa_ids: Sequence[AgentId],
+    alive_sas: Sequence[AgentId],
     mask: Mapping[AgentId, int],
     bw_by_mask: np.ndarray,
 ) -> _Topology:
-    n = len(sa_ids)
+    n = len(alive_sas)
     if n < 2:
-        return _Topology(tuple(sa_ids), 0, 0.0, 0)
-    masks = np.fromiter((mask[a] for a in sa_ids), dtype=np.int64, count=n)
+        return _Topology(0, 0.0, 0)
+    masks = np.fromiter((mask[a] for a in alive_sas), dtype=np.int64, count=n)
     pair = np.bitwise_and.outer(masks, masks)
     np.fill_diagonal(pair, 0)
     iu = np.triu_indices(n, 1)
@@ -677,7 +673,7 @@ def _build_topology(
     n_comp, labels = connected_components(graph, directed=False)
     sizes = np.bincount(labels, minlength=n_comp)
     connected_pairs = int((sizes * (sizes - 1)).sum())
-    return _Topology(tuple(sa_ids), n_links, sum_best_bw, connected_pairs)
+    return _Topology(n_links, sum_best_bw, connected_pairs)
 
 
 def run(config: SimConfig, trace: Optional[TraceFn] = None) -> RunReport:

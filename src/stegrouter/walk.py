@@ -14,83 +14,38 @@ traverse the exact same code path.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Sequence
 
-from .core import AgentId, Message
-
-
-def _check_pf(p_f: float) -> None:
-    if not 0.0 <= p_f < 1.0:
-        raise ValueError(f"p_f must lie in [0, 1), got {p_f}")
-
-
-@dataclass
-class WalkState:
-    """One in-flight walk: the carried message, who holds it now, how many
-    sends have happened, and whether it has stopped.
-
-    hop_count is at least 1 once the originator has performed the forced
-    first send; the final holder keeps the message when terminated."""
-
-    message: Message
-    current_holder: AgentId
-    hop_count: int = 0
-    terminated: bool = False
-
-
-def advance_walk(
-    state: WalkState,
-    p_f: float,
-    population: Sequence[AgentId],
-    rng: random.Random,
-) -> Optional[AgentId]:
-    """Perform one transition of `state`: the originator's first send is
-    unconditional, after that the holder flips the forwarding coin.
-    Returns the new holder, or None when the walk delivers and stops."""
-    if state.terminated:
-        raise ValueError("walk already terminated")
-    if state.hop_count > 0 and not forward_decision(rng, p_f):
-        state.terminated = True
-        return None
-    nxt = choose_next_proxy(rng, population, state.current_holder)
-    state.current_holder = nxt
-    state.hop_count += 1
-    return nxt
-
-
-def forward_decision(rng: random.Random, p_f: float) -> bool:
-    """Flip the forwarding coin: True to forward, False to deliver."""
-    _check_pf(p_f)
-    return rng.random() < p_f
-
-
-def choose_next_proxy(
-    rng: random.Random, population: Sequence[AgentId], current: AgentId
-) -> AgentId:
-    """Pick the next holder uniformly from the live population, excluding
-    the current holder.  Earlier path members may be revisited."""
-    n = len(population)
-    if n == 0 or (n == 1 and population[0] == current):
-        raise ValueError("no candidate proxies besides the current holder")
-    while True:
-        candidate = population[rng.randrange(n)]
-        if candidate != current:
-            return candidate
+from .core import AgentId
 
 
 def run_walk(
     originator: AgentId,
-    message: Message,
     p_f: float,
     population: Sequence[AgentId],
     rng: random.Random,
 ) -> list[AgentId]:
-    """Walk `message` from `originator` and return the full path, ending
-    with the final holder.  The message itself is opaque to relays."""
-    _check_pf(p_f)
-    state = WalkState(message=message, current_holder=originator)
-    path = [originator]
-    while (nxt := advance_walk(state, p_f, population, rng)) is not None:
+    """Walk a message from `originator` and return the full path, ending
+    with the final holder.
+
+    Each send picks the next holder uniformly from `population`, redrawing
+    while the pick is the current holder (earlier path members may be
+    revisited).  After every send but the originator's, the holder flips
+    the forwarding coin `rng.random() < p_f` and delivers on a miss."""
+    if not 0.0 <= p_f < 1.0:
+        raise ValueError(f"p_f must lie in [0, 1), got {p_f}")
+    n = len(population)
+    randrange = rng.randrange
+    coin = rng.random
+    holder = originator
+    path = [holder]
+    while True:
+        if n == 0 or (n == 1 and population[0] == holder):
+            raise ValueError("no candidate proxies besides the current holder")
+        nxt = population[randrange(n)]
+        while nxt == holder:
+            nxt = population[randrange(n)]
         path.append(nxt)
-    return path
+        holder = nxt
+        if coin() >= p_f:
+            return path

@@ -14,7 +14,7 @@ import sys
 
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
-from stegrouter.router import Metric, NeighborState, RouteEntry, RouterTimers, StegRouter
+from stegrouter.router import RouteEntry, RouterTimers, StegRouter
 
 DEFAULT_TABLE = method_table(DEFAULT_METHODS)
 
@@ -65,13 +65,13 @@ def reference_process_update(router, batch, now):
     table changed."""
     sender = batch.sender
     entry = router.neighbors.get(sender)
-    if entry is None or entry.state(now, router.timers.hold_time) is NeighborState.EXPIRED:
+    if entry is None or now - entry.last_hello_at > router.timers.hold_time:
         return False
     seen = router._processed.get(sender)
     if seen == (batch.sender_version, router.table_version):
         return False
 
-    link = entry.link_metric
+    neg_link_bw, link_delay, link_rank, _ = entry.link_key
     me = router.agent_id
     routes = router.routes
 
@@ -83,9 +83,9 @@ def reference_process_update(router, batch, now):
         if total_hops > router.hop_limit:
             continue
         advertised[dest] = (
-            -min(bw, link.bottleneck_bps),
-            delay + link.delay_s,
-            max(rank, link.worst_rank),
+            -min(bw, -neg_link_bw),
+            delay + link_delay,
+            max(rank, link_rank),
             total_hops,
         )
 
@@ -95,18 +95,12 @@ def reference_process_update(router, batch, now):
         if current is None:
             adopt = True
         elif current.next_hop == sender:
-            adopt = key != current.sort_key
+            adopt = key != current.key
         else:
-            cur_key = current.sort_key
+            cur_key = current.key
             adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
         if adopt:
-            routes[dest] = RouteEntry(
-                destination=dest,
-                next_hop=sender,
-                metric=Metric(-key[0], key[1], key[2], key[3]),
-                via_method=entry.best_method,
-                sort_key=key,
-            )
+            routes[dest] = RouteEntry(sender, key, entry.best_method)
             changed = True
 
     withdrawn = [
@@ -132,15 +126,11 @@ def converge(capabilities, profiles=DEFAULT_TABLE, hop_limit=32):
 
 
 def protocol_tables(routers):
-    """Installed tables as plain metric tuples, oracle-comparable."""
+    """Installed tables as plain (bottleneck_bps, delay_s, worst_rank, hops)
+    tuples, oracle-comparable."""
     return {
         agent_id: {
-            dest: (
-                route.metric.bottleneck_bps,
-                route.metric.delay_s,
-                route.metric.worst_rank,
-                route.metric.hops,
-            )
+            dest: (-route.key[0],) + route.key[1:]
             for dest, route in router.routes.items()
         }
         for agent_id, router in routers.items()

@@ -23,7 +23,7 @@ from stegrouter.anonymity import (
     sender_distribution,
     static_entropy,
 )
-from stegrouter.core import StegMethodProfile, anonymous_message
+from stegrouter.core import StegMethodProfile
 from stegrouter.router import reference_tables
 from stegrouter.sim import Platform, SimConfig, run, run_report_lines
 from stegrouter.walk import run_walk
@@ -115,11 +115,10 @@ class TestCriterion3:
         for p_f, target in ((0.8, 6.0), (0.66, (2 - 0.66) / (1 - 0.66))):
             rng = random.Random(97)
             population = list(range(50))
-            msg = anonymous_message(0)
             total = 0
             n_walks = 1_000_000
             for _ in range(n_walks):
-                total += len(run_walk(0, msg, p_f, population, rng))
+                total += len(run_walk(0, p_f, population, rng))
             mean = total / n_walks
             checks.append(abs(mean - target) / target < 0.01)
             details.append(f"10^6 walks at p_f={p_f}: mean {mean:.4f} "

@@ -51,6 +51,17 @@ class TestValidate:
 
     def test_rejects_malformed_override(self):
         assert run_cli("validate", "--set", "p_f") == 2
+        assert run_cli("validate", "--set", "timers=5") == 2
+        assert run_cli("validate", "--set", "sizes=5") == 2
+        assert run_cli("validate", "--set", "timers.hold_time=25", "--set", "timers=5") == 2
+
+    @pytest.mark.parametrize("override", [
+        "duration=nan", "duration=inf", "sampling_interval=nan", "discovery_interval=inf",
+        "migration_rate=inf", "walk_hop_latency=inf", "timers.hold_time=nan",
+        "timers.hello_interval=nan", "timers.update_interval=inf",
+    ])
+    def test_rejects_non_finite_value(self, override):
+        assert run_cli("validate", "--set", override) == 2
 
     def test_nested_override_sections(self, capsys):
         assert run_cli("validate", "--set", "timers.hold_time=25",

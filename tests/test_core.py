@@ -1,5 +1,7 @@
-"""Data-model tests: method profiles, capability draws, links, messages."""
+"""Data-model tests: method profiles, capability draws, steg-links as the
+routers and the platform form them, message sizes."""
 
+import math
 import random
 
 import pytest
@@ -8,17 +10,17 @@ from stegrouter.core import (
     DEFAULT_METHODS,
     AgentKind,
     AgentRecord,
-    Message,
-    MessageKind,
     MessageSizes,
-    StegLink,
     StegMethodProfile,
-    anonymous_message,
-    build_steg_link,
     derive_capabilities,
-    discovery_message,
     method_table,
 )
+from stegrouter.router import StegRouter
+from stegrouter.sim import Platform, SimConfig
+
+PROFILES = method_table(DEFAULT_METHODS)
+# one universally shared method: every SA pair can link
+TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
 
 
 def make_agent(agent_id, caps, kind=AgentKind.STEG, alive=True):
@@ -68,6 +70,10 @@ class TestMethodCatalogue:
         with pytest.raises(ValueError):
             StegMethodProfile("x", "X", bandwidth_bps=10, delay_s=0.0, occurrence=1.5,
                               preference_rank=1)
+        for bandwidth, delay in ((math.inf, 0.0), (math.nan, 0.0), (10, math.inf), (10, math.nan)):
+            with pytest.raises(ValueError):
+                StegMethodProfile("x", "X", bandwidth_bps=bandwidth, delay_s=delay,
+                                  occurrence=0.5, preference_rank=1)
 
     def test_duplicate_ids_rejected(self):
         twin = DEFAULT_METHODS[0]
@@ -124,42 +130,45 @@ class TestDeriveCapabilities:
 
 
 class TestStegLink:
+    """A steg-link exists exactly between two live steg agents whose
+    capability sets intersect; it carries the best shared method."""
+
     def test_shared_method_intersection(self):
-        x = make_agent(1, {"image"})
-        y = make_agent(2, {"image", "audio"})
-        link = build_steg_link(x, y)
-        assert link is not None
-        assert link.methods == frozenset({"image"})
-        assert link.key == (1, 2)
+        x = StegRouter(1, frozenset({"image", "internet"}), PROFILES)
+        y = StegRouter(2, frozenset({"image", "audio"}), PROFILES)
+        assert x.ingest_discovery(2, y.capabilities, now=0.0)
+        assert y.ingest_discovery(1, x.capabilities, now=0.0)
+        # only image is shared: neither endpoint may use internet or audio
+        assert x.neighbors[2].best_method == "image"
+        assert y.neighbors[1].best_method == "image"
 
     def test_no_shared_method(self):
-        assert build_steg_link(make_agent(1, {"image"}), make_agent(2, {"audio"})) is None
+        x = StegRouter(1, frozenset({"image"}), PROFILES)
+        assert x.ingest_discovery(2, frozenset({"audio"}), now=0.0) is False
+        assert not x.neighbors
 
     def test_ordinary_agents_never_link(self):
-        sa = make_agent(1, {"internet"})
-        oa = make_agent(2, set(), kind=AgentKind.ORDINARY)
-        assert build_steg_link(sa, oa) is None
-        assert build_steg_link(oa, sa) is None
+        platform = Platform(SimConfig(n_agents=50, duration=120.0, methods=TEXT_ONLY, seed=3))
+        steg = {a.id for a in platform.agents.values() if a.kind is AgentKind.STEG}
+        assert set(platform.routers) == steg
+        platform.run_until(120.0)
+        assert any(router.neighbors for router in platform.routers.values())
+        for router in platform.routers.values():
+            assert set(router.neighbors) <= steg
 
     def test_dead_or_self_never_link(self):
-        x = make_agent(1, {"internet"})
-        dead = make_agent(2, {"internet"}, alive=False)
-        assert build_steg_link(x, dead) is None
-        assert build_steg_link(x, make_agent(1, {"internet"})) is None
-
-    def test_endpoints_normalized_low_high(self):
-        link = build_steg_link(make_agent(9, {"text"}), make_agent(3, {"text"}))
-        assert (link.a, link.b) == (3, 9)
-        assert link.peer_of(3) == 9
-        assert link.peer_of(9) == 3
-        with pytest.raises(ValueError):
-            link.peer_of(4)
-
-    def test_invalid_construction(self):
-        with pytest.raises(ValueError):
-            StegLink(5, 2, frozenset({"text"}))
-        with pytest.raises(ValueError):
-            StegLink(1, 2, frozenset())
+        x = StegRouter(1, frozenset({"internet"}), PROFILES)
+        assert x.ingest_discovery(1, frozenset({"internet"}), now=0.0) is False
+        assert not x.neighbors
+        # a walk from a departed originator, or ending at a departed
+        # holder, forms nothing
+        platform = Platform(SimConfig(n_agents=50, duration=60.0, methods=TEXT_ONLY, seed=3))
+        a, b, c = sorted(platform.routers)[:3]
+        platform.remove_agent(b)
+        platform._on_walk_deliver(a, (b, 1), 0.0)
+        platform._on_walk_deliver(b, (c, 1), 0.0)
+        assert not platform.routers[a].neighbors
+        assert not platform.routers[c].neighbors
 
 
 class TestMessages:
@@ -180,25 +189,20 @@ class TestMessages:
             MessageSizes(update_entry=-1)
 
     def test_discovery_message_carries_embedded_advertisement(self):
-        caps = frozenset({"image", "text"})
-        msg = discovery_message(7, caps)
-        assert msg.kind is MessageKind.DISCOVERY
-        assert msg.steg_content == (7, caps)
-        # padded: no addressing visible on the carrier
-        assert msg.source is None and msg.destination is None
-        assert msg.payload_bytes == 64
-
-    def test_anonymous_message_indistinguishable_by_size(self):
-        plain = anonymous_message(3)
-        advert = discovery_message(3, frozenset({"text"}))
-        assert plain.payload_bytes == advert.payload_bytes
-        assert plain.steg_content is None
-        assert plain.kind is MessageKind.DATA
-
-    def test_message_is_immutable(self):
-        msg = anonymous_message(1)
-        with pytest.raises(AttributeError):
-            msg.payload_bytes = 0
+        # a walk delivers the originator's id and capabilities to the final
+        # holder, which links to it; every hop costs one 64-byte carrier
+        # message, and so does the holder's reply over the new link
+        events = []
+        platform = Platform(
+            SimConfig(n_agents=50, duration=60.0, methods=TEXT_ONLY, seed=3),
+            trace=lambda *row: events.append(row),
+        )
+        a, b = sorted(platform.routers)[:2]
+        platform._on_walk_deliver(b, (a, 3), 0.0)
+        assert platform.routers[b].neighbors[a].best_method == "text"
+        assert platform.routers[a].neighbors[b].best_method == "text"
+        discovery = [row[1:] for row in events if row[1] == "discovery"]
+        assert discovery == [("discovery", a, b, 3, 3 * 64), ("discovery", b, a, 1, 64)]
 
 
 class TestAgentRecord:

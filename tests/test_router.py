@@ -1,5 +1,6 @@
-"""Distance-vector router tests: metric algebra, neighbor lifecycle,
-update exchange, path resolution, and oracle equivalence."""
+"""Distance-vector router tests: link keys, route order and path joining,
+neighbor lifecycle, update exchange, path resolution, and oracle
+equivalence."""
 
 import math
 
@@ -7,17 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegLink, method_table
+from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
 from stegrouter.router import (
-    ZERO_METRIC,
-    Metric,
-    NeighborState,
+    RouteEntry,
     RouterTimers,
     StegRouter,
     best_method_on_link,
-    combine_metrics,
-    compare_metrics,
-    metric_of_link,
     reference_tables,
     resolve_steg_path,
 )
@@ -34,97 +30,170 @@ from harness import (
 PROFILES = method_table(DEFAULT_METHODS)
 
 
-def link(a, b, *methods):
-    return StegLink(a, b, frozenset(methods))
-
-
 def fresh_router(agent_id=1, caps=("internet",), **kwargs):
     return StegRouter(agent_id, frozenset(caps), PROFILES, **kwargs)
 
 
+def join(a, b):
+    """Key of a path made of segment a followed by segment b."""
+    return (max(a[0], b[0]), a[1] + b[1], max(a[2], b[2]), a[3] + b[3])
+
+
+def route_heard(adverts, order=None):
+    """Receiver 1 hears senders over internet links (300 kbps, no delay,
+    rank 1), each advertising destination 9 with the wire row (bottleneck,
+    delay, rank, hops) in `adverts`; tables are processed in `order`.
+    Returns the receiver's route to 9."""
+    receiver = fresh_router(1)
+    for sender_id in order or sorted(adverts):
+        sender = fresh_router(sender_id)
+        sender.ingest_discovery(1, receiver.capabilities, 0.0)
+        receiver.ingest_discovery(sender_id, sender.capabilities, 0.0)
+        bw, delay, rank, hops = adverts[sender_id]
+        sender.routes[9] = RouteEntry(8, (-bw, delay, rank, hops), "internet")
+        receiver.process_update(sender.build_update(0.0), 0.0)
+    return receiver.routes[9]
+
+
 class TestLinkMetrics:
     def test_image_link(self):
-        m = metric_of_link(link(1, 2, "image"), "image", PROFILES)
-        assert m == Metric(100, 0.0, PROFILES["image"].preference_rank, 1)
+        r = fresh_router(1, ("image",))
+        r.ingest_discovery(2, frozenset({"image"}), now=0.0)
+        assert r.neighbors[2].link_key == (-100, 0.0, PROFILES["image"].preference_rank, 1)
 
     def test_hiccups_link(self):
-        m = metric_of_link(link(1, 2, "hiccups"), "hiccups", PROFILES)
-        assert m.bottleneck_bps == 225000
-        assert m.hops == 1
+        r = fresh_router(1, ("hiccups",))
+        r.ingest_discovery(2, frozenset({"hiccups"}), now=0.0)
+        key = r.neighbors[2].link_key
+        assert key[0] == -225000
+        assert key[3] == 1
 
     def test_method_not_on_link(self):
-        with pytest.raises(ValueError):
-            metric_of_link(link(1, 2, "image"), "audio", PROFILES)
+        # 1 also has internet, but only image is shared: the route to 2
+        # uses image and image's one-hop metric
+        routers = converge({1: frozenset({"internet", "image"}),
+                            2: frozenset({"image", "audio"})})
+        route = routers[1].routes[2]
+        assert route.via_method == "image"
+        assert route.key == (-100, 0.0, PROFILES["image"].preference_rank, 1)
 
     def test_best_method_prefers_bandwidth(self):
-        assert best_method_on_link(link(1, 2, "image", "audio"), PROFILES) == "image"
+        assert best_method_on_link({"image", "audio"}, PROFILES) == "image"
 
     def test_best_method_singleton(self):
-        assert best_method_on_link(link(1, 2, "internet"), PROFILES) == "internet"
+        assert best_method_on_link({"internet"}, PROFILES) == "internet"
 
     def test_best_method_rank_breaks_bandwidth_tie(self):
         # image and video share bandwidth 100 and delay 0; image has the
         # lower preference rank under the default catalogue
-        assert best_method_on_link(link(1, 2, "image", "video"), PROFILES) == "image"
+        assert best_method_on_link({"image", "video"}, PROFILES) == "image"
 
 
 class TestMetricOrder:
+    """Receiver 1 hears senders 2 and 3, whose candidates for one
+    destination differ in exactly one key component.  The better one wins
+    whichever sender offers it and whichever table arrives first."""
+
+    def assert_better(self, better, worse):
+        for order in ((2, 3), (3, 2)):
+            assert route_heard({2: better, 3: worse}, order).next_hop == 2
+            assert route_heard({2: worse, 3: better}, order).next_hop == 3
+        bw, delay, rank, hops = better
+        assert route_heard({2: better, 3: worse}).key == (-bw, delay, rank, hops + 1)
+
     def test_capacity_dominates(self):
-        wide = Metric(300000, 0.0, 2, 3)
-        narrow = Metric(100, 0.0, 2, 1)
-        assert compare_metrics(wide, narrow) == -1
-        assert compare_metrics(narrow, wide) == 1
+        self.assert_better((200, 0.0, 2, 3), (100, 0.0, 2, 3))
 
     def test_delay_breaks_capacity_tie(self):
-        fast = Metric(100, 0.0, 2, 1)
-        slow = Metric(100, 5.0, 2, 1)
-        assert compare_metrics(fast, slow) == -1
+        self.assert_better((100, 0.0, 2, 1), (100, 5.0, 2, 1))
 
     def test_rank_breaks_delay_tie(self):
-        assert compare_metrics(Metric(100, 0.0, 3, 1), Metric(100, 0.0, 4, 1)) == -1
+        self.assert_better((100, 0.0, 3, 1), (100, 0.0, 4, 1))
 
     def test_hops_break_rank_tie(self):
-        assert compare_metrics(Metric(100, 0.0, 3, 1), Metric(100, 0.0, 3, 2)) == -1
+        self.assert_better((100, 0.0, 3, 1), (100, 0.0, 3, 2))
 
     def test_identical_metrics_tie(self):
-        m = Metric(80, 1.0, 6, 4)
-        assert compare_metrics(m, Metric(80, 1.0, 6, 4)) == 0
+        # equal candidates: the lower next-hop id wins in either order
+        same = (80, 1.0, 6, 4)
+        for order in ((2, 3), (3, 2)):
+            route = route_heard({2: same, 3: same}, order)
+            assert route.next_hop == 2
+            assert route.key == (-80, 1.0, 6, 5)
 
 
-METRICS = st.builds(
-    Metric,
-    st.sampled_from([80.0, 100.0, 225000.0, 300000.0, math.inf]),
-    st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.5]),
-    st.integers(min_value=0, max_value=6),
-    st.integers(min_value=0, max_value=8),
+# Chains of one distinct method per link, with exactly representable delays.
+LINKS = st.lists(
+    st.tuples(st.sampled_from([80.0, 100.0, 225000.0, 300000.0]),
+              st.sampled_from([0.0, 0.125, 0.25, 0.5, 1.5])),
+    min_size=2, max_size=7,
 )
 
 
+def chain(links):
+    """Line topology 0 - 1 - ... - n: link i joins agents i and i+1 with
+    its own method, so the only path between two agents is along the line."""
+    methods = [StegMethodProfile(f"m{i}", f"M{i}", bw, delay, 1.0, i + 1)
+               for i, (bw, delay) in enumerate(links)]
+    capabilities = {
+        agent: frozenset(m.id for m in methods[max(agent - 1, 0):agent + 1])
+        for agent in range(len(links) + 1)
+    }
+    return converge(capabilities, profiles=method_table(methods)), methods
+
+
 class TestMetricCombine:
+    """A route's key is its path's links joined: the narrowest bottleneck,
+    the summed delay, the worst rank and the hop count."""
+
     def test_join_example(self):
-        joined = combine_metrics(Metric(300000, 0.0, 1, 1), Metric(100, 0.0, 3, 1))
-        assert joined == Metric(100, 0.0, 3, 2)
+        # an internet hop (300 kbps, rank 1) joined to a 100 bps rank-3 hop
+        route = route_heard({2: (100, 0.0, 3, 1)})
+        assert route.key == (-100, 0.0, 3, 2)
 
-    @given(METRICS)
-    @settings(max_examples=50)
-    def test_zero_metric_is_identity(self, m):
-        assert combine_metrics(ZERO_METRIC, m) == m
-        assert combine_metrics(m, ZERO_METRIC) == m
+    def test_zero_metric_is_identity(self):
+        # the self row (inf, 0, 0, 0) joined to a link is that link alone:
+        # the route to a neighbor heard directly carries the link's key
+        table = method_table(dyadic_delay_methods(3))
+        for method, profile in table.items():
+            a = StegRouter(1, frozenset({method}), table)
+            b = StegRouter(2, frozenset({method}), table)
+            a.ingest_discovery(2, b.capabilities, 0.0)
+            b.ingest_discovery(1, a.capabilities, 0.0)
+            a.process_update(b.build_update(0.0), 0.0)
+            assert a.routes[2].key == a.neighbors[2].link_key == (
+                -profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1)
 
-    @given(METRICS, METRICS, METRICS)
-    @settings(max_examples=100)
-    def test_associative(self, a, b, c):
-        left = combine_metrics(combine_metrics(a, b), c)
-        right = combine_metrics(a, combine_metrics(b, c))
-        assert left == right
+    @given(LINKS)
+    @settings(max_examples=40, deadline=None)
+    def test_associative(self, links):
+        # the route 0 -> k equals the join of routes 0 -> j and j -> k at
+        # every split point j, and the join of all its links
+        routers, methods = chain(links)
+        one_hop = [(-m.bandwidth_bps, m.delay_s, m.preference_rank, 1) for m in methods]
+        for k in range(1, len(links) + 1):
+            whole = routers[0].routes[k].key
+            folded = one_hop[0]
+            for link_key in one_hop[1:k]:
+                folded = join(folded, link_key)
+            assert whole == folded
+            for j in range(1, k):
+                assert whole == join(routers[0].routes[j].key, routers[j].routes[k].key)
 
-    @given(METRICS, METRICS)
-    @settings(max_examples=50)
-    def test_joining_never_improves(self, a, b):
-        joined = combine_metrics(a, b)
-        assert joined.bottleneck_bps <= a.bottleneck_bps
-        assert joined.delay_s >= a.delay_s
-        assert joined.worst_rank >= a.worst_rank
+    def test_joining_never_improves(self):
+        # at the fixed point every route is its first link joined to the
+        # next hop's own route (the self row when the next hop is the
+        # destination), and so is no better in any component
+        for seed in range(8):
+            routers = converge(random_population(seed, max_agents=12))
+            for agent, router in routers.items():
+                for dest, route in router.routes.items():
+                    hop = route.next_hop
+                    rest = (-math.inf, 0.0, 0, 0) if hop == dest else routers[hop].routes[dest].key
+                    key = route.key
+                    assert key == join(router.neighbors[hop].link_key, rest)
+                    assert key[0] >= rest[0] and key[1] >= rest[1]
+                    assert key[2] >= rest[2] and key[3] == rest[3] + 1
 
 
 class TestTimers:
@@ -147,9 +216,8 @@ class TestNeighborLifecycle:
     def test_shared_method_forms_neighbor(self):
         r = fresh_router(1, ("internet", "image"))
         assert r.ingest_discovery(2, frozenset({"image"}), now=0.0) is True
-        entry = r.neighbors[2]
-        assert entry.best_method == "image"
-        assert entry.state(0.0, r.timers.hold_time) is NeighborState.UP
+        assert r.neighbors[2].best_method == "image"
+        assert r.up_neighbors(0.0) == [2]
 
     def test_no_shared_method_no_neighbor(self):
         r = fresh_router(1, ("internet",))
@@ -170,10 +238,9 @@ class TestNeighborLifecycle:
     def test_hold_time_boundary(self):
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
-        entry = r.neighbors[2]
         hold = r.timers.hold_time
-        assert entry.state(hold, hold) is NeighborState.UP
-        assert entry.state(hold + 1e-9, hold) is NeighborState.EXPIRED
+        assert r.up_neighbors(hold) == [2]
+        assert r.up_neighbors(hold + 1e-9) == []
 
     def test_hello_keeps_neighbor_alive(self):
         r = fresh_router(1)
@@ -286,7 +353,7 @@ class TestProcessUpdate:
         assert a.process_update(b.build_update(0.0), now=0.0) is True
         route = a.routes[2]
         assert route.next_hop == 2
-        assert route.metric == Metric(300000, 0.0, 1, 1)
+        assert route.key == (-300000, 0.0, 1, 1)
         assert route.via_method == "internet"
 
     def test_never_routes_to_self(self):
@@ -319,9 +386,7 @@ class TestProcessUpdate:
                             2: frozenset({"internet", "text"}),
                             3: frozenset({"text"})})
         route = routers[1].routes[3]
-        assert route.metric.bottleneck_bps == 80
-        assert route.metric.hops == 2
-        assert route.metric.worst_rank == PROFILES["text"].preference_rank
+        assert route.key == (-80, 0.0, PROFILES["text"].preference_rank, 2)
         assert route.next_hop == 2
 
     def test_worse_candidate_leaves_table_unchanged(self):
@@ -331,7 +396,7 @@ class TestProcessUpdate:
                             3: frozenset({"internet", "text"})})
         route = routers[1].routes[3]
         assert route.next_hop == 3
-        assert route.metric.bottleneck_bps == 300000
+        assert route.key[0] == -300000
 
     def test_equal_paths_prefer_lower_next_hop_id(self):
         # relays 2 and 3 offer identical image+audio two-hop paths 1 -> 4;
@@ -397,7 +462,7 @@ class TestProcessUpdate:
                     if recipient in routers:
                         routers[recipient].process_update(batch, 16.0)
         assert 3 not in routers[1].routes
-        assert all(routers[1].routes[d].metric.hops <= 32
+        assert all(routers[1].routes[d].key[3] <= 32
                    for d in routers[1].routes)
 
 

@@ -8,7 +8,6 @@ import math
 import pytest
 
 from stegrouter.core import AgentKind, DEFAULT_METHODS, StegMethodProfile
-from stegrouter.router import NeighborState
 from stegrouter.sim import (
     SUMMARY_CSV_COLUMNS,
     ConfigError,
@@ -67,6 +66,12 @@ class TestConfig:
             SimConfig(sampling_interval=0.0)
         with pytest.raises(ConfigError):
             SimConfig(methods=())
+        # a section that is not a mapping, or a catalogue that is not a
+        # list of mappings, is a configuration error too
+        for mapping in ({"timers": 5}, {"sizes": "5"}, {"methods": 5}, {"methods": [5]},
+                        {"methods": "text"}):
+            with pytest.raises(ConfigError):
+                SimConfig.from_mapping(mapping)
 
     def test_zero_duration_allowed(self):
         report = run(SimConfig(duration=0.0, n_agents=20))
@@ -202,9 +207,8 @@ class TestConvergence:
         platform.remove_agent(victim)
         platform.run_until(230.0)
         router = platform.routers[survivor]
-        hold = platform.config.timers.hold_time
-        entry = router.neighbors[victim]
-        assert entry.state(platform.now, hold) is NeighborState.EXPIRED
+        assert victim in router.neighbors
+        assert victim not in router.up_neighbors(platform.now)
         assert victim not in router.routes
         assert platform.convergence_level() == 1.0
 

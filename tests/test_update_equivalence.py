@@ -6,7 +6,7 @@ sequence of steps.  One copy processes updates with
 can have changed since the sender's last processed table; the other
 applies `harness.reference_process_update`, the full-table rule, to every
 row of every batch.  After each step both copies must hold the same
-routes (next hop, metric, method), the same table versions, and every
+routes (next hop, key, method), the same table versions, and every
 call must have returned the same value.
 
 Steps cover what the simulator does and the orders it never produces:
@@ -122,7 +122,7 @@ class Network:
             agent_id: (
                 router.table_version,
                 {
-                    dest: (route.next_hop, route.metric, route.via_method)
+                    dest: (route.next_hop, route.key, route.via_method)
                     for dest, route in router.routes.items()
                 },
             )

@@ -1,4 +1,5 @@
-"""Random-walk forwarding tests: coin, proxy choice, full walks."""
+"""Random-walk forwarding tests: the forwarding coin, proxy choice and
+full walks, all observed through run_walk."""
 
 import math
 import random
@@ -6,69 +7,78 @@ import random
 import pytest
 from scipy import stats
 
-from stegrouter.core import anonymous_message
-from stegrouter.walk import (
-    WalkState,
-    advance_walk,
-    choose_next_proxy,
-    forward_decision,
-    run_walk,
-)
+from stegrouter.walk import run_walk
 
 
 def walk_lengths(p_f, n_walks, seed, population_size=40):
     rng = random.Random(seed)
     population = list(range(population_size))
-    msg = anonymous_message(0)
-    return [len(run_walk(0, msg, p_f, population, rng)) for _ in range(n_walks)]
+    return [len(run_walk(0, p_f, population, rng)) for _ in range(n_walks)]
 
 
 class TestForwardDecision:
+    """The coin each holder after the originator flips: forward with
+    probability p_f, otherwise deliver."""
+
     def test_pf_zero_always_delivers(self):
         rng = random.Random(0)
-        assert not any(forward_decision(rng, 0.0) for _ in range(1000))
+        assert all(len(run_walk(0, 0.0, list(range(5)), rng)) == 2 for _ in range(1000))
 
     def test_bernoulli_rate(self):
-        # 10^6 draws at p_f = 0.75: forward fraction within +/- 0.002
+        # ~10^6 coins at p_f = 0.75: forward fraction within +/- 0.002.
+        # A walk of length k flips k-1 coins and forwards on k-2 of them.
         rng = random.Random(11)
-        draws = 1_000_000
-        forwarded = sum(forward_decision(rng, 0.75) for _ in range(draws))
-        assert abs(forwarded / draws - 0.75) < 0.002
+        population = list(range(40))
+        coins = forwarded = 0
+        while coins < 1_000_000:
+            length = len(run_walk(0, 0.75, population, rng))
+            coins += length - 1
+            forwarded += length - 2
+        assert abs(forwarded / coins - 0.75) < 0.002
 
     def test_seeded_replay_is_identical(self):
-        a = [forward_decision(random.Random(42), pf) for pf in (0.5, 0.66, 0.75)]
-        b = [forward_decision(random.Random(42), pf) for pf in (0.5, 0.66, 0.75)]
+        a = [run_walk(0, pf, list(range(9)), random.Random(42)) for pf in (0.5, 0.66, 0.75)]
+        b = [run_walk(0, pf, list(range(9)), random.Random(42)) for pf in (0.5, 0.66, 0.75)]
         assert a == b
 
     def test_pf_domain(self):
+        # checked before any draw, so a bad p_f consumes no randomness
         rng = random.Random(0)
-        with pytest.raises(ValueError):
-            forward_decision(rng, 1.0)
-        with pytest.raises(ValueError):
-            forward_decision(rng, -0.1)
+        state = rng.getstate()
+        for p_f in (1.0, -0.1, math.nan):
+            with pytest.raises(ValueError):
+                run_walk(0, p_f, [0, 1], rng)
+        assert rng.getstate() == state
 
 
 class TestChooseNextProxy:
+    """Each send picks the next holder uniformly from the population,
+    excluding only the current holder."""
+
     def test_two_agents_forced_choice(self):
         rng = random.Random(0)
-        assert choose_next_proxy(rng, [1, 2], current=1) == 2
+        assert run_walk(1, 0.0, [1, 2], rng) == [1, 2]
+        for _ in range(100):
+            path = run_walk(1, 0.9, [1, 2], rng)
+            assert path == [1, 2] * (len(path) // 2) + [1] * (len(path) % 2)
 
     def test_no_candidates(self):
         rng = random.Random(0)
         with pytest.raises(ValueError):
-            choose_next_proxy(rng, [], current=1)
+            run_walk(1, 0.5, [], rng)
         with pytest.raises(ValueError):
-            choose_next_proxy(rng, [3], current=3)
+            run_walk(3, 0.5, [3], rng)
 
     def test_uniform_over_other_candidates(self):
-        # 100 agents, 10^6 draws: each of the 99 candidates within 3 sigma of
-        # 1/99, and a chi-square GOF does not reject uniformity at alpha=0.01.
+        # 100 agents, 10^6 first sends: each of the 99 candidates within
+        # 3 sigma of 1/99, and a chi-square GOF does not reject uniformity
+        # at alpha=0.01.
         rng = random.Random(17)
         population = list(range(100))
         draws = 1_000_000
         counts = [0] * 100
         for _ in range(draws):
-            counts[choose_next_proxy(rng, population, current=0)] += 1
+            counts[run_walk(0, 0.0, population, rng)[1]] += 1
         assert counts[0] == 0
         expected = draws / 99
         sigma = math.sqrt(draws * (1 / 99) * (98 / 99))
@@ -82,22 +92,34 @@ class TestChooseNextProxy:
         rng = random.Random(3)
         population = [2, 5, 8, 13]
         for _ in range(500):
-            assert choose_next_proxy(rng, population, current=5) in population
+            assert set(run_walk(5, 0.75, population, rng)) <= set(population)
 
 
 class TestRunWalk:
     def test_pf_zero_path_length_two(self):
         rng = random.Random(0)
-        msg = anonymous_message(7)
-        path = run_walk(7, msg, 0.0, list(range(10)), rng)
+        path = run_walk(7, 0.0, list(range(10)), rng)
         assert len(path) == 2
         assert path[0] == 7
 
+    def test_fixed_seed_paths_are_pinned(self):
+        # exact paths for fixed seeds, recorded before the walk engine was
+        # reduced to one loop: they pin the order of the rng.randrange and
+        # rng.random draws, which every simulated discovery depends on
+        rng = random.Random(2024)
+        assert [run_walk(3, 0.75, list(range(10)), rng) for _ in range(6)] == [
+            [3, 7, 9, 6], [3, 4, 7, 8, 3, 5, 3, 7], [3, 2, 6],
+            [3, 5, 7, 2], [3, 6, 3, 6, 3], [3, 6, 0, 4],
+        ]
+        rng = random.Random(7)
+        assert [run_walk(0, 0.5, [0, 4, 9], rng) for _ in range(4)] == [
+            [0, 4], [0, 4], [0, 9, 0], [0, 4, 0, 4, 9, 0],
+        ]
+
     def test_no_immediate_self_handoff(self):
         rng = random.Random(5)
-        msg = anonymous_message(0)
         for _ in range(300):
-            path = run_walk(0, msg, 0.85, list(range(8)), rng)
+            path = run_walk(0, 0.85, list(range(8)), rng)
             for here, there in zip(path, path[1:]):
                 assert here != there
 
@@ -130,20 +152,18 @@ class TestRunWalk:
         assert p_value > 0.01
 
     def test_seeded_walks_replay(self):
-        msg = anonymous_message(1)
-        first = [run_walk(1, msg, 0.75, list(range(30)), random.Random(9))
+        first = [run_walk(1, 0.75, list(range(30)), random.Random(9))
                  for _ in range(5)]
-        second = [run_walk(1, msg, 0.75, list(range(30)), random.Random(9))
+        second = [run_walk(1, 0.75, list(range(30)), random.Random(9))
                   for _ in range(5)]
         assert first == second
 
     def test_revisits_are_allowed(self):
         # earlier path members may be chosen again (only the holder is excluded)
         rng = random.Random(2)
-        msg = anonymous_message(0)
         squeezed = False
         for _ in range(2000):
-            path = run_walk(0, msg, 0.9, [0, 1, 2], rng)
+            path = run_walk(0, 0.9, [0, 1, 2], rng)
             if len(path) != len(set(path)):
                 squeezed = True
                 break
@@ -154,15 +174,13 @@ class TestRunWalk:
         # ids and a coin, nothing else, and relay load spreads evenly over
         # any arbitrary designation of ids as steg-capable
         import inspect
-        for fn in (run_walk, choose_next_proxy, forward_decision):
-            params = set(inspect.signature(fn).parameters)
-            assert not params & {"kind", "kinds", "roles", "capabilities"}
-        msg = anonymous_message(0)
+        params = set(inspect.signature(run_walk).parameters)
+        assert not params & {"kind", "kinds", "roles", "capabilities"}
         population = list(range(12))
         relay_counts = [0] * 12
         rng = random.Random(41)
         for _ in range(2000):
-            for hop in run_walk(0, msg, 0.8, population, rng)[1:-1]:
+            for hop in run_walk(0, 0.8, population, rng)[1:-1]:
                 relay_counts[hop] += 1
         designated = sum(relay_counts[i] for i in range(0, 12, 2))
         total = sum(relay_counts)
@@ -172,46 +190,47 @@ class TestRunWalk:
         assert abs(designated - total / 2) < 5 * sigma
 
 class TestWalkState:
+    """The walk's state (current holder, sends so far), step by step: a
+    draw-by-draw replay from an identically seeded generator."""
+
+    @staticmethod
+    def step(rng, holder, population):
+        nxt = population[rng.randrange(len(population))]
+        while nxt == holder:
+            nxt = population[rng.randrange(len(population))]
+        return nxt
+
     def test_first_send_is_unconditional(self):
-        # p_f = 0 would never pass the coin, yet the fresh walk still moves
-        state = WalkState(message=anonymous_message(0), current_holder=0)
-        nxt = advance_walk(state, 0.0, [0, 1], random.Random(3))
-        assert nxt == 1
-        assert state.current_holder == 1
-        assert state.hop_count == 1
-        assert not state.terminated
+        # p_f = 0 never passes the coin, yet the originator still sends once;
+        # the walk then delivers at the first relay
+        for seed in range(20):
+            path = run_walk(0, 0.0, [0, 1], random.Random(seed))
+            assert path == [0, 1]
 
     def test_delivery_freezes_the_state(self):
-        state = WalkState(message=anonymous_message(0), current_holder=0)
-        rng = random.Random(3)
-        advance_walk(state, 0.0, [0, 1, 2], rng)
-        holder = state.current_holder
-        assert advance_walk(state, 0.0, [0, 1, 2], rng) is None
-        assert state.terminated
-        assert state.current_holder == holder
-        assert state.hop_count == 1
-
-    def test_advancing_a_terminated_walk_raises(self):
-        state = WalkState(message=anonymous_message(0), current_holder=0,
-                          terminated=True)
-        with pytest.raises(ValueError):
-            advance_walk(state, 0.5, [0, 1], random.Random(0))
+        # after the delivering coin nothing more is drawn: the generator is
+        # left exactly where one send and one coin leave it
+        population = list(range(6))
+        for seed in range(20):
+            walked, replay = random.Random(seed), random.Random(seed)
+            path = run_walk(2, 0.0, population, walked)
+            assert path == [2, self.step(replay, 2, population)]
+            replay.random()
+            assert walked.getstate() == replay.getstate()
 
     def test_stepping_reproduces_run_walk(self):
-        # driving the state one transition at a time is the same process as
-        # the one-shot helper: identical path, and the send counter matches
-        msg = anonymous_message(7)
+        # one send per step and a coin after every send gives the same path
         population = list(range(20))
         for seed in range(25):
-            path = run_walk(7, msg, 0.75, population, random.Random(seed))
-            state = WalkState(message=msg, current_holder=7)
-            stepped = [7]
+            path = run_walk(7, 0.75, population, random.Random(seed))
             rng = random.Random(seed)
-            while (nxt := advance_walk(state, 0.75, population, rng)) is not None:
-                stepped.append(nxt)
+            holder, stepped = 7, [7]
+            while True:
+                holder = self.step(rng, holder, population)
+                stepped.append(holder)
+                if rng.random() >= 0.75:
+                    break
             assert stepped == path
-            assert state.hop_count == len(path) - 1
-            assert state.current_holder == path[-1]
 
 
 class TestFullScaleWalks:
