@@ -20,7 +20,6 @@ import math
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
@@ -53,21 +52,9 @@ EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
 
-@dataclass(frozen=True, slots=True)
-class ScenarioPreset:
-    """Named bundle of config overrides."""
-
-    name: str
-    overrides: Mapping
-
-
-# The bundled scenario family varies only the population size; every
-# other knob keeps its built-in default.
-PRESETS: tuple[ScenarioPreset, ...] = tuple(
-    ScenarioPreset(f"n{n}", {"n_agents": n})
-    for n in (250, 500, 1000, 5000, 10000)
-)
-_PRESET_INDEX = {p.name: p for p in PRESETS}
+# Bundled scenarios, name -> config overrides.  The family varies only
+# the population size; every other knob keeps its built-in default.
+PRESETS: dict[str, dict] = {f"n{n}": {"n_agents": n} for n in (250, 500, 1000, 5000, 10000)}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -84,7 +71,7 @@ def _build_parser() -> _Parser:
 
     sim = sub.add_parser("simulate", help="run one scenario over a seed sweep")
     _add_config_args(sim)
-    sim.add_argument("--seeds", default="1", help="seed list: '3', '1,2,7', or '1..10'")
+    sim.add_argument("--seeds", default="1", help="seed list: '3', '1,2,7', '1..10' or '1..9:2'")
     sim.add_argument("--output-dir", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
     sim.add_argument("--workers", type=int, default=1, help="parallel worker processes")
 
@@ -149,11 +136,11 @@ _SECTION_KEYS = {"run": None, "timers": "timers", "messages": "sizes"}
 def _resolve_config(args: argparse.Namespace) -> SimConfig:
     mapping: dict = {}
     if args.preset is not None:
-        preset = _PRESET_INDEX.get(args.preset)
-        if preset is None:
-            known = ", ".join(sorted(_PRESET_INDEX))
+        overrides = PRESETS.get(args.preset)
+        if overrides is None:
+            known = ", ".join(sorted(PRESETS))
             raise ConfigError(f"unknown preset {args.preset!r}; available: {known}")
-        _merge(mapping, preset.overrides)
+        _merge(mapping, overrides)
     if args.config is not None:
         _merge(mapping, _load_config_file(args.config))
     for item in args.overrides:
@@ -227,22 +214,6 @@ def _output_dir(args: argparse.Namespace) -> Path:
     return Path("runs")
 
 
-def _parse_seeds(text: str) -> list[int]:
-    seeds: list[int] = []
-    for part in text.split(","):
-        part = part.strip()
-        if not part:
-            continue
-        if ".." in part:
-            lo, hi = part.split("..", 1)
-            seeds.extend(range(int(lo), int(hi) + 1))
-        else:
-            seeds.append(int(part))
-    if not seeds:
-        raise ConfigError(f"no seeds in {text!r}")
-    return seeds
-
-
 # -- simulate -------------------------------------------------------------------
 
 
@@ -256,10 +227,7 @@ def _run_one(payload: tuple[dict, str]) -> tuple[int, dict]:
 
 def _cmd_simulate(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
-    try:
-        seeds = _parse_seeds(args.seeds)
-    except ValueError as exc:
-        raise ConfigError(f"bad seed range {args.seeds!r}: {exc}") from None
+    seeds = _parse_int_grid(args.seeds, "seed")
     label = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -458,9 +426,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
 
 
 def _cmd_presets() -> int:
-    for preset in PRESETS:
-        overrides = ", ".join(f"{k}={v}" for k, v in preset.overrides.items())
-        print(f"{preset.name}: {overrides}")
+    for name, overrides in PRESETS.items():
+        print(f"{name}: " + ", ".join(f"{k}={v}" for k, v in overrides.items()))
     return EXIT_OK
 
 

@@ -12,15 +12,10 @@ import math
 import random
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 AgentId = int
 StegMethodId = str
-
-
-class AgentKind(Enum):
-    ORDINARY = "ordinary"
-    STEG = "steg"
 
 
 @dataclass(frozen=True, slots=True)
@@ -75,24 +70,6 @@ def method_table(
     if not table:
         raise ValueError("method table must not be empty")
     return table
-
-
-@dataclass(slots=True)
-class AgentRecord:
-    """Platform membership record for one agent."""
-
-    id: AgentId
-    kind: AgentKind
-    capabilities: frozenset[StegMethodId] = frozenset()
-    alive: bool = True
-    joined_at: float = 0.0
-    left_at: Optional[float] = None
-
-    def __post_init__(self) -> None:
-        if self.kind is AgentKind.ORDINARY and self.capabilities:
-            raise ValueError("ordinary agents carry no steg capabilities")
-        if self.kind is AgentKind.STEG and not self.capabilities:
-            raise ValueError("steg agents need at least one capability")
 
 
 def derive_capabilities(

@@ -29,6 +29,7 @@ last one processed is applied in full.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping, Optional
 
@@ -95,32 +96,36 @@ class UpdateBatch:
     """Immutable snapshot of a router's table, shared by the per-neighbor
     update messages of one emission.
 
-    `rows` maps each destination to the sender's next hop and the wire row,
-    self row first (its next hop is the sender itself), so the message
-    addressed to neighbor X simply skips the rows whose next hop is X.
+    `routes` is a copy of the sender's route table; with the sender's self
+    row in front, it is what the wire carries, and the message addressed
+    to neighbor X skips the routes whose next hop is X (split horizon).
     `log` and `marks` are the sender's change log, read only up to
     `marks[sender_version]`, which keeps the batch a snapshot.
     """
 
     sender: AgentId
     sender_version: int
-    rows: dict[AgentId, tuple[AgentId, Row]]
-    group_sizes: dict[AgentId, int]  # rows per sender next hop
+    routes: dict[AgentId, RouteEntry]
+    group_sizes: Counter  # routes per sender next hop
     recipients: tuple[AgentId, ...]
     log: list[AgentId]
     marks: list[int]
 
     @property
     def self_row(self) -> Row:
-        return self.rows[self.sender][1]
+        return (self.sender, math.inf, 0.0, 0, 0)
 
     def rows_for(self, receiver: AgentId) -> Iterator[Row]:
-        for next_hop, row in self.rows.values():
-            if next_hop != receiver:
-                yield row
+        """The rows of the message addressed to `receiver`, self row first."""
+        if receiver != self.sender:
+            yield self.self_row
+        for dest, route in self.routes.items():
+            if route.next_hop != receiver:
+                key = route.key
+                yield (dest, -key[0], key[1], key[2], key[3])
 
     def row_count_for(self, receiver: AgentId) -> int:
-        return len(self.rows) - self.group_sizes.get(receiver, 0)
+        return 1 + len(self.routes) - self.group_sizes.get(receiver, 0)
 
 
 class StegRouter:
@@ -199,12 +204,14 @@ class StegRouter:
             entry.last_hello_at = now
 
     def up_neighbors(self, now: float) -> list[AgentId]:
+        """Neighbors heard from within the hold time, in the order they
+        were first discovered (entries are never deleted)."""
         hold = self.timers.hold_time
-        return sorted(
+        return [
             nid
             for nid, entry in self.neighbors.items()
             if now - entry.last_hello_at <= hold
-        )
+        ]
 
     def hello_tick(self, now: float) -> list[AgentId]:
         """One beat of the liveness beacon: the addressees for this
@@ -245,10 +252,8 @@ class StegRouter:
     # -- update emission --------------------------------------------------
 
     def build_update(self, now: float) -> Optional[UpdateBatch]:
-        """Snapshot the table for one periodic emission: every route plus
-        the self row, each with its next hop for split horizon, addressed
-        to all Up neighbors.  Returns None when there is nobody to talk
-        to."""
+        """Snapshot the table for one periodic emission, addressed to all
+        Up neighbors.  Returns None when there is nobody to talk to."""
         self.expire_check(now)
         recipients = tuple(self.up_neighbors(now))
         if not recipients:
@@ -260,19 +265,12 @@ class StegRouter:
             and cached.recipients == recipients
         ):
             return cached
-        me = self.agent_id
-        rows: dict[AgentId, tuple[AgentId, Row]] = {me: (me, (me, math.inf, 0.0, 0, 0))}
-        group_sizes: dict[AgentId, int] = {}
-        for dest, route in self.routes.items():
-            key = route.key
-            hop = route.next_hop
-            rows[dest] = (hop, (dest, -key[0], key[1], key[2], key[3]))
-            group_sizes[hop] = group_sizes.get(hop, 0) + 1
+        routes = dict(self.routes)
         batch = UpdateBatch(
-            sender=me,
+            sender=self.agent_id,
             sender_version=self.table_version,
-            rows=rows,
-            group_sizes=group_sizes,
+            routes=routes,
+            group_sizes=Counter(route.next_hop for route in routes.values()),
             recipients=recipients,
             log=self._log,
             marks=self._marks,
@@ -299,10 +297,11 @@ class StegRouter:
         if entry is None or now - entry.last_hello_at > self.timers.hold_time:
             return False
         routes = self.routes
-        rows = batch.rows
+        sent = batch.routes
         seen = self._processed.get(sender)
         if seen is None or batch.sender_version < seen[0]:
-            candidates = set(rows)
+            candidates = set(sent)
+            candidates.add(sender)
             candidates.update(
                 dest for dest, route in routes.items() if route.next_hop == sender
             )
@@ -314,7 +313,9 @@ class StegRouter:
         candidates.discard(me)
 
         neg_link_bw, link_delay, link_rank, _ = entry.link_key
-        link_bw = -neg_link_bw
+        # The sender's self row (infinite bandwidth, no delay, rank 0, 0
+        # hops) extended by the link.
+        self_key = (neg_link_bw, 0.0 + link_delay, link_rank, 1)
         method = entry.best_method
         hop_limit = self.hop_limit
         log = self._log
@@ -322,15 +323,20 @@ class StegRouter:
         changed = False
         for dest in candidates:
             current = routes.get(dest)
-            found = rows.get(dest)
-            if found is not None and found[0] != me and found[1][4] < hop_limit:
-                _, bw, delay, rank, hops = found[1]
+            found = sent.get(dest)
+            if found is None:
+                key = self_key if dest == sender else None
+            elif found.next_hop != me and found.key[3] < hop_limit:
+                neg_bw, delay, rank, hops = found.key
                 key = (
-                    -(bw if bw < link_bw else link_bw),
+                    neg_bw if neg_bw > neg_link_bw else neg_link_bw,
                     delay + link_delay,
                     rank if rank > link_rank else link_rank,
                     hops + 1,
                 )
+            else:
+                key = None
+            if key is not None:
                 if current is None:
                     adopt = True
                 elif current.next_hop == sender:

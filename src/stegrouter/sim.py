@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 import csv
-import dataclasses
+import functools
 import heapq
 import io
 import json
@@ -19,7 +19,8 @@ import math
 import os
 import random
 import tempfile
-from dataclasses import dataclass, field
+import typing
+from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import IntEnum
 from typing import Callable, Iterable, Mapping, Optional, Sequence
 
@@ -29,8 +30,6 @@ from scipy.sparse.csgraph import connected_components
 
 from .core import (
     AgentId,
-    AgentKind,
-    AgentRecord,
     DEFAULT_METHODS,
     MessageKind,
     MessageSizes,
@@ -103,98 +102,59 @@ class SimConfig:
         return round(self.n_agents * self.sa_fraction)
 
     def to_mapping(self) -> dict:
-        """Flat echo of every knob; feeding it back into from_mapping
-        reproduces the identical run."""
-        return {
-            "duration": self.duration,
-            "n_agents": self.n_agents,
-            "sa_fraction": self.sa_fraction,
-            "p_f": self.p_f,
-            "migration_rate": self.migration_rate,
-            "seed": self.seed,
-            "sampling_interval": self.sampling_interval,
-            "discovery_interval": self.discovery_interval,
-            "walk_hop_latency": self.walk_hop_latency,
-            "hop_limit": self.hop_limit,
-            "timers": dataclasses.asdict(self.timers),
-            "sizes": dataclasses.asdict(self.sizes),
-            "methods": [dataclasses.asdict(m) for m in self.methods],
-        }
+        """Echo of every knob, sections as nested mappings; feeding it back
+        into from_mapping reproduces the identical run."""
+        mapping = asdict(self)
+        mapping["methods"] = list(mapping["methods"])
+        return mapping
 
     @classmethod
     def from_mapping(cls, mapping: Mapping) -> "SimConfig":
         """Build a config from a plain mapping (parsed config file, echo
         from a report, or override set); raises ConfigError on unknown
         keys or malformed values."""
-        scalars = {
-            "duration": float,
-            "n_agents": int,
-            "sa_fraction": float,
-            "p_f": float,
-            "migration_rate": float,
-            "seed": int,
-            "sampling_interval": float,
-            "discovery_interval": float,
-            "walk_hop_latency": float,
-            "hop_limit": int,
-        }
-        timer_fields = {"hello_interval": float, "hold_time": float, "update_interval": float}
-        size_fields = {"discovery": int, "hello": int, "update_header": int, "update_entry": int}
-        method_fields = {
-            "id": str,
-            "name": str,
-            "bandwidth_bps": float,
-            "delay_s": float,
-            "occurrence": float,
-            "preference_rank": int,
-        }
+        return _build(cls, mapping)
 
-        def convert(name: str, conv: Callable, value: object) -> object:
-            try:
-                return conv(value)
-            except (TypeError, ValueError):
-                raise ConfigError(f"bad value for {name}: {value!r}") from None
 
-        def section(label: str, known: dict, value: object) -> dict:
-            if not isinstance(value, Mapping):
-                raise ConfigError(f"{label} must be a mapping, got {value!r}")
-            fields = {}
-            for k, v in value.items():
-                if k not in known:
-                    raise ConfigError(f"unknown {label} field {k!r}")
-                fields[k] = convert(f"{label}.{k}", known[k], v)
-            return fields
+# Resolving the string annotations costs far more than converting a
+# config, so each class is resolved once.
+_type_hints = functools.cache(typing.get_type_hints)
 
-        kwargs: dict = {}
-        for key, value in mapping.items():
-            if key in scalars:
-                kwargs[key] = convert(key, scalars[key], value)
-            elif key == "timers":
-                fields = section("timers", timer_fields, value)
-                kwargs["timers"] = _build("timers", RouterTimers, fields)
-            elif key == "sizes":
-                fields = section("sizes", size_fields, value)
-                kwargs["sizes"] = _build("sizes", MessageSizes, fields)
-            elif key == "methods":
-                if not isinstance(value, (list, tuple)):
-                    raise ConfigError(f"methods must be a list of mappings, got {value!r}")
-                kwargs["methods"] = tuple(
-                    _build("method", StegMethodProfile, section("method", method_fields, entry))
-                    for entry in value
-                )
-            else:
+
+def _build(cls: type, mapping: object, label: Optional[str] = None):
+    """An instance of the dataclass `cls` from a mapping, each value
+    converted to its field's annotated type: a nested dataclass from a
+    mapping, a tuple of them from a list of mappings.  `label` names a
+    nested section in error messages."""
+    if not isinstance(mapping, Mapping):
+        raise ConfigError(f"{label} must be a mapping, got {mapping!r}")
+    hints = _type_hints(cls)
+    kwargs: dict = {}
+    for key, value in mapping.items():
+        hint = hints.get(key)
+        if hint is None:
+            if label is None:
                 raise ConfigError(f"unknown config key {key!r}")
-        try:
-            return cls(**kwargs)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-
-
-def _build(label: str, factory: Callable, fields: dict):
+            raise ConfigError(f"unknown {label} field {key!r}")
+        if is_dataclass(hint):
+            kwargs[key] = _build(hint, value, key)
+        elif typing.get_origin(hint) is tuple:
+            if not isinstance(value, (list, tuple)):
+                raise ConfigError(f"{key} must be a list of mappings, got {value!r}")
+            item = typing.get_args(hint)[0]
+            kwargs[key] = tuple(
+                _build(item, entry, f"{key}[{i}]") for i, entry in enumerate(value)
+            )
+        else:
+            try:
+                kwargs[key] = hint(value)
+            except (TypeError, ValueError):
+                name = key if label is None else f"{label}.{key}"
+                raise ConfigError(f"bad value for {name}: {value!r}") from None
     try:
-        return factory(**fields)
+        return cls(**kwargs)
     except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {label}: {exc}") from None
+        raise ConfigError(str(exc) if label is None else f"bad {label}: {exc}") from None
 
 
 @dataclass(frozen=True, slots=True)
@@ -223,8 +183,9 @@ class RunReport:
 
 
 #: Optional per-message-accounting callback:
-#: (time, kind value, sender, recipient, message count, payload bytes).
-TraceFn = Callable[[float, str, AgentId, Optional[AgentId], int, int], None]
+#: (time, kind value, sender, recipient, message count, payload bytes);
+#: a discovery walk is one call with its hop count and the final holder.
+TraceFn = Callable[[float, str, AgentId, AgentId, int, int], None]
 
 
 class _Ev(IntEnum):
@@ -271,15 +232,14 @@ class Platform:
 
     Construction builds the population and schedules all periodic
     processes; run_until drives the event loop.  The instance exposes its
-    routers and agents so failure drills and inspection do not need any
-    special hooks.
+    routers, one per alive steg agent, so failure drills and inspection do
+    not need any special hooks.
     """
 
     def __init__(self, config: SimConfig, trace: Optional[TraceFn] = None) -> None:
         self.config = config
         self.profiles = method_table(config.methods)
         self.kernel = EventKernel()
-        self.agents: dict[AgentId, AgentRecord] = {}
         self.routers: dict[AgentId, StegRouter] = {}
         self.frames: list[MetricsFrame] = []
         self._trace = trace
@@ -294,9 +254,10 @@ class Platform:
         self._ever_removed = False
         self._next_id = 0
         self._last_sample_t = 0.0
-        self._win_overhead_bits = 0
+        # Bits sent in the current sampling window, per steg-link and by
+        # discovery walks.
         self._win_link_bits: dict[tuple[AgentId, AgentId], int] = {}
-        self._win_link_total = 0
+        self._win_walk_bits = 0
         self._totals = {kind.value: [0, 0] for kind in MessageKind}
 
         self._rng_population = random.Random(f"{config.seed}:population")
@@ -315,24 +276,16 @@ class Platform:
         steg_ids = set(self._rng_population.sample(range(n), cfg.n_steg_agents))
         for agent_id in range(n):
             if agent_id in steg_ids:
-                caps = derive_capabilities(self._rng_population, cfg.methods)
-                self._add_agent(agent_id, AgentKind.STEG, caps, joined_at=0.0)
+                self._add_agent(agent_id, derive_capabilities(self._rng_population, cfg.methods))
             else:
-                self._add_agent(agent_id, AgentKind.ORDINARY, frozenset(), joined_at=0.0)
+                self._add_agent(agent_id, frozenset())
         self._next_id = n
 
-    def _add_agent(
-        self,
-        agent_id: AgentId,
-        kind: AgentKind,
-        caps: frozenset,
-        joined_at: float,
-    ) -> None:
-        self.agents[agent_id] = AgentRecord(
-            id=agent_id, kind=kind, capabilities=caps, joined_at=joined_at
-        )
+    def _add_agent(self, agent_id: AgentId, caps: frozenset) -> None:
+        """Add an alive agent: a steg agent when `caps` is non-empty, an
+        ordinary one otherwise."""
         self._alive.append(agent_id)
-        if kind is AgentKind.STEG:
+        if caps:
             bisect.insort(self._alive_sas, agent_id)
             self._mask[agent_id] = sum(self._bit[m] for m in caps)
             self.routers[agent_id] = StegRouter(
@@ -347,30 +300,21 @@ class Platform:
     def remove_agent(self, agent_id: AgentId) -> None:
         """Forced departure: the agent stops all activity immediately and
         silently; peers notice only through hello loss."""
-        record = self.agents[agent_id]
-        if not record.alive:
+        if agent_id not in self._alive:
             return
-        record.alive = False
-        record.left_at = self.kernel.now
         self._alive.remove(agent_id)
-        if record.kind is AgentKind.STEG:
+        if self.routers.pop(agent_id, None) is not None:
             self._alive_sas.remove(agent_id)
-            self.routers.pop(agent_id, None)
         self._population_version += 1
         self._ever_removed = True
 
-    def _spawn_replacement(self, kind: AgentKind, now: float) -> AgentId:
+    def _spawn_replacement(self, steg: bool, now: float) -> AgentId:
         agent_id = self._next_id
         self._next_id += 1
-        caps = (
-            derive_capabilities(self._rng_migrations, self.config.methods)
-            if kind is AgentKind.STEG
-            else frozenset()
-        )
-        self._add_agent(agent_id, kind, caps, joined_at=now)
-        if kind is AgentKind.STEG:
-            cfg = self.config
-            rng = self._rng_migrations
+        cfg = self.config
+        rng = self._rng_migrations
+        self._add_agent(agent_id, derive_capabilities(rng, cfg.methods) if steg else frozenset())
+        if steg:
             self.kernel.schedule(
                 now + rng.uniform(0, cfg.timers.hello_interval), _Ev.HELLO, agent_id
             )
@@ -428,63 +372,59 @@ class Platform:
 
     # -- accounting -----------------------------------------------------------
 
-    def _account(
-        self,
-        kind: str,
-        sender: AgentId,
-        recipient: Optional[AgentId],
-        count: int,
-        nbytes: int,
-        on_link: bool,
-    ) -> None:
+    def _send(self, kind: str, sender: AgentId, recipient: AgentId, nbytes: int) -> None:
+        """Account one message of `nbytes` over the sender-recipient link."""
         totals = self._totals[kind]
-        totals[0] += count
+        totals[0] += 1
         totals[1] += nbytes
-        bits = nbytes * 8
-        self._win_overhead_bits += bits
-        if on_link:
-            key = (sender, recipient) if sender < recipient else (recipient, sender)
-            self._win_link_bits[key] = self._win_link_bits.get(key, 0) + bits
-            self._win_link_total += bits
+        key = (sender, recipient) if sender < recipient else (recipient, sender)
+        win = self._win_link_bits
+        win[key] = win.get(key, 0) + nbytes * 8
         if self._trace is not None:
-            self._trace(self.kernel.now, kind, sender, recipient, count, nbytes)
+            self._trace(self.kernel.now, kind, sender, recipient, 1, nbytes)
+
+    def _walk_sent(self, originator: AgentId, holder: AgentId, hops: int) -> None:
+        """Account a discovery walk's `hops` carrier messages, which travel
+        over the overlay and not over a steg-link."""
+        nbytes = hops * self.config.sizes.discovery
+        totals = self._totals["discovery"]
+        totals[0] += hops
+        totals[1] += nbytes
+        self._win_walk_bits += nbytes * 8
+        if self._trace is not None:
+            self._trace(self.kernel.now, "discovery", originator, holder, hops, nbytes)
 
     # -- event handlers ---------------------------------------------------------
 
     def _on_hello(self, agent_id: AgentId, now: float) -> None:
-        record = self.agents.get(agent_id)
-        if record is None or not record.alive:
+        router = self.routers.get(agent_id)
+        if router is None:
             return
-        router = self.routers[agent_id]
         hello_bytes = self.config.sizes.hello
         for neighbor in router.hello_tick(now):
-            self._account("hello", agent_id, neighbor, 1, hello_bytes, on_link=True)
+            self._send("hello", agent_id, neighbor, hello_bytes)
             peer = self.routers.get(neighbor)
             if peer is not None:
                 peer.receive_hello(agent_id, now)
         self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
 
     def _on_update(self, agent_id: AgentId, now: float) -> None:
-        record = self.agents.get(agent_id)
-        if record is None or not record.alive:
+        router = self.routers.get(agent_id)
+        if router is None:
             return
-        router = self.routers[agent_id]
         batch = router.build_update(now)
         if batch is not None:
             sizes = self.config.sizes
             for recipient in batch.recipients:
                 payload = sizes.update_payload(batch.row_count_for(recipient))
-                self._account(
-                    "routing_update", agent_id, recipient, 1, payload, on_link=True
-                )
+                self._send("routing_update", agent_id, recipient, payload)
                 peer = self.routers.get(recipient)
                 if peer is not None:
                     peer.process_update(batch, now)
         self.kernel.schedule(now + self.config.timers.update_interval, _Ev.UPDATE, agent_id)
 
     def _on_discovery(self, agent_id: AgentId, now: float) -> None:
-        record = self.agents.get(agent_id)
-        if record is None or not record.alive:
+        if agent_id not in self.routers:
             return
         cfg = self.config
         if len(self._alive) >= 2:
@@ -499,41 +439,32 @@ class Platform:
         originator, hops = origin_hops
         # The walk's hop transmissions happened regardless of what the
         # final holder does with the advertisement.
-        self._account(
-            "discovery", originator, holder, hops, hops * self.config.sizes.discovery,
-            on_link=False,
-        )
-        holder_rec = self.agents.get(holder)
-        origin_rec = self.agents.get(originator)
-        if holder_rec is None or not holder_rec.alive:
-            return
-        if origin_rec is None or not origin_rec.alive:
-            return
+        self._walk_sent(originator, holder, hops)
         receiver = self.routers.get(holder)
-        if receiver is None:
+        origin = self.routers.get(originator)
+        if receiver is None or origin is None:
             return
-        formed = receiver.ingest_discovery(originator, origin_rec.capabilities, now)
+        formed = receiver.ingest_discovery(originator, origin.capabilities, now)
         if not formed:
             return
         # New neighbor relation: answer with own capabilities over the
         # fresh covert channel, then both sides swap full tables.
         sizes = self.config.sizes
-        originator_router = self.routers[originator]
-        self._account("discovery", holder, originator, 1, sizes.discovery, on_link=True)
-        originator_router.ingest_discovery(holder, holder_rec.capabilities, now)
+        self._send("discovery", holder, originator, sizes.discovery)
+        origin.ingest_discovery(holder, receiver.capabilities, now)
         for sender, dest in ((holder, originator), (originator, holder)):
             batch = self.routers[sender].build_update(now)
             if batch is None:
                 continue
             payload = sizes.update_payload(batch.row_count_for(dest))
-            self._account("routing_update", sender, dest, 1, payload, on_link=True)
+            self._send("routing_update", sender, dest, payload)
             self.routers[dest].process_update(batch, now)
 
     def _on_migrate(self, now: float) -> None:
         victim = self._alive[self._rng_migrations.randrange(len(self._alive))]
-        kind = self.agents[victim].kind
+        steg = victim in self.routers
         self.remove_agent(victim)
-        self._spawn_replacement(kind, now)
+        self._spawn_replacement(steg, now)
         self.kernel.schedule(
             now + self._rng_migrations.expovariate(self.config.migration_rate), _Ev.MIGRATE
         )
@@ -542,9 +473,8 @@ class Platform:
         for router in self.routers.values():
             router.expire_check(now)
         self.frames.append(self._measure(now))
-        self._win_overhead_bits = 0
         self._win_link_bits = {}
-        self._win_link_total = 0
+        self._win_walk_bits = 0
         self._last_sample_t = now
         next_t = now + self.config.sampling_interval
         if next_t <= self.config.duration:
@@ -585,12 +515,13 @@ class Platform:
         level = 1.0 if topo.connected_pairs == 0 else routed / topo.connected_pairs
         n_sa = len(self._alive_sas)
         level_all = 1.0 if n_sa < 2 else routed / (n_sa * (n_sa - 1))
+        link_bits = sum(self._win_link_bits.values())
         if topo.n_links and window > 0:
-            overhead = self._win_overhead_bits / (window * topo.n_links)
+            overhead = (link_bits + self._win_walk_bits) / (window * topo.n_links)
         else:
             overhead = 0.0
         if topo.sum_best_bw and window > 0:
-            usage = self._win_link_total / (topo.sum_best_bw * window)
+            usage = link_bits / (topo.sum_best_bw * window)
         else:
             usage = 0.0
         saturated = 0
@@ -751,18 +682,7 @@ def run_report_lines(report: RunReport) -> Iterable[str]:
     identical bytes."""
     yield json.dumps({"type": "header", "config": report.config}, sort_keys=True)
     for f in report.frames:
-        yield json.dumps(
-            {
-                "type": "frame",
-                "time": f.time,
-                "convergence_level": f.convergence_level,
-                "convergence_level_all_pairs": f.convergence_level_all_pairs,
-                "routing_overhead_per_link_bps": f.routing_overhead_per_link_bps,
-                "capacity_usage": f.capacity_usage,
-                "saturated_link_fraction": f.saturated_link_fraction,
-            },
-            sort_keys=True,
-        )
+        yield json.dumps({"type": "frame", **asdict(f)}, sort_keys=True)
     yield json.dumps(
         {
             "type": "summary",

@@ -31,17 +31,20 @@ def run_walk(
     Each send picks the next holder uniformly from `population`, redrawing
     while the pick is the current holder (earlier path members may be
     revisited).  After every send but the originator's, the holder flips
-    the forwarding coin `rng.random() < p_f` and delivers on a miss."""
+    the forwarding coin `rng.random() < p_f` and delivers on a miss.
+
+    Raises ValueError before any draw when `population` holds fewer than
+    two distinct agents, since some holder would then have no candidate."""
     if not 0.0 <= p_f < 1.0:
         raise ValueError(f"p_f must lie in [0, 1), got {p_f}")
     n = len(population)
+    if not (n >= 2 and population[0] != population[1]) and len(set(population)) < 2:
+        raise ValueError("the population must hold at least two distinct agents")
     randrange = rng.randrange
     coin = rng.random
     holder = originator
     path = [holder]
     while True:
-        if n == 0 or (n == 1 and population[0] == holder):
-            raise ValueError("no candidate proxies besides the current holder")
         nxt = population[randrange(n)]
         while nxt == holder:
             nxt = population[randrange(n)]

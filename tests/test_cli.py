@@ -21,13 +21,12 @@ def read_csv(path):
 class TestPresets:
     def test_listing(self, capsys):
         assert run_cli("presets") == 0
-        out = capsys.readouterr().out
-        for n in (250, 500, 1000, 5000, 10000):
-            assert f"n{n}" in out
+        assert capsys.readouterr().out == "".join(
+            f"n{n}: n_agents={n}\n" for n in (250, 500, 1000, 5000, 10000))
 
     def test_exactly_the_documented_scale_points(self):
-        assert [p.overrides["n_agents"] for p in PRESETS] == [250, 500, 1000, 5000,
-                                                              10000]
+        assert [o["n_agents"] for o in PRESETS.values()] == [250, 500, 1000, 5000, 10000]
+
 
     def test_unknown_preset_lists_alternatives(self, capsys):
         assert run_cli("validate", "--preset", "n9000") == 2
@@ -155,6 +154,14 @@ class TestSimulate:
 
     def test_bad_seed_spec(self, tmp_path):
         assert run_cli(*self.small_args(tmp_path, "--seeds", "one")) == 2
+        for spec in ("", ",", "5..3", "1..9:0", "1..x"):
+            assert run_cli(*self.small_args(tmp_path, "--seeds", spec)) == 2
+
+    def test_stepped_seed_range(self, tmp_path):
+        # --seeds takes the same grid syntax as the entropy grids
+        assert run_cli(*self.small_args(tmp_path, "--seeds", "1..5:2")) == 0
+        rows = read_csv(tmp_path / "run-summary.csv")
+        assert [row["seed"] for row in rows] == ["1", "3", "5"]
 
 
 class TestEntropy:

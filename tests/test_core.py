@@ -8,8 +8,6 @@ import pytest
 
 from stegrouter.core import (
     DEFAULT_METHODS,
-    AgentKind,
-    AgentRecord,
     MessageSizes,
     StegMethodProfile,
     derive_capabilities,
@@ -21,16 +19,6 @@ from stegrouter.sim import Platform, SimConfig
 PROFILES = method_table(DEFAULT_METHODS)
 # one universally shared method: every SA pair can link
 TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
-
-
-def make_agent(agent_id, caps, kind=AgentKind.STEG, alive=True):
-    return AgentRecord(
-        id=agent_id,
-        kind=kind,
-        capabilities=frozenset(caps),
-        alive=alive,
-        joined_at=0.0,
-    )
 
 
 class TestMethodCatalogue:
@@ -149,8 +137,9 @@ class TestStegLink:
 
     def test_ordinary_agents_never_link(self):
         platform = Platform(SimConfig(n_agents=50, duration=120.0, methods=TEXT_ONLY, seed=3))
-        steg = {a.id for a in platform.agents.values() if a.kind is AgentKind.STEG}
-        assert set(platform.routers) == steg
+        steg = set(platform.routers)
+        ordinary = set(platform._alive) - steg
+        assert len(steg) == 5 and len(ordinary) == 45
         platform.run_until(120.0)
         assert any(router.neighbors for router in platform.routers.values())
         for router in platform.routers.values():
@@ -206,10 +195,29 @@ class TestMessages:
 
 
 class TestAgentRecord:
+    """Membership: an alive agent is a steg agent exactly when it has a
+    router, which holds its non-empty capability set."""
+
     def test_ordinary_agent_has_no_capabilities(self):
-        with pytest.raises(ValueError):
-            make_agent(1, {"text"}, kind=AgentKind.ORDINARY)
+        cfg = SimConfig(n_agents=60, duration=600.0, migration_rate=1 / 30, seed=5)
+        platform = Platform(cfg)
+        platform.run_until(600.0)
+        assert platform._next_id > 60  # replacements joined
+        ordinary = set(platform._alive) - set(platform.routers)
+        assert len(ordinary) == 60 - cfg.n_steg_agents
+        # no capability mask, so no steg-link, for any ordinary agent
+        assert set(platform._mask) >= set(platform.routers)
+        assert not ordinary & set(platform._mask)
 
     def test_steg_agent_needs_capabilities(self):
-        with pytest.raises(ValueError):
-            make_agent(1, set())
+        rare = tuple(
+            StegMethodProfile(p.id, p.name, p.bandwidth_bps, p.delay_s, 0.01,
+                              p.preference_rank)
+            for p in DEFAULT_METHODS
+        )
+        rng = random.Random(4)
+        for _ in range(200):
+            assert derive_capabilities(rng, rare)
+        platform = Platform(SimConfig(n_agents=100, methods=rare, seed=4))
+        assert len(platform.routers) == 10
+        assert all(router.capabilities for router in platform.routers.values())

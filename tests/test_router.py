@@ -217,7 +217,7 @@ class TestNeighborLifecycle:
         r = fresh_router(1, ("internet", "image"))
         assert r.ingest_discovery(2, frozenset({"image"}), now=0.0) is True
         assert r.neighbors[2].best_method == "image"
-        assert r.up_neighbors(0.0) == [2]
+        assert set(r.up_neighbors(0.0)) == {2}
 
     def test_no_shared_method_no_neighbor(self):
         r = fresh_router(1, ("internet",))
@@ -239,20 +239,20 @@ class TestNeighborLifecycle:
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         hold = r.timers.hold_time
-        assert r.up_neighbors(hold) == [2]
-        assert r.up_neighbors(hold + 1e-9) == []
+        assert set(r.up_neighbors(hold)) == {2}
+        assert not r.up_neighbors(hold + 1e-9)
 
     def test_hello_keeps_neighbor_alive(self):
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         for t in (5.0, 10.0, 15.0, 20.0):
             r.receive_hello(2, t)
-        assert r.up_neighbors(22.0) == [2]
+        assert set(r.up_neighbors(22.0)) == {2}
 
     def test_silent_neighbor_expires(self):
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
-        assert r.up_neighbors(20.0) == []
+        assert not r.up_neighbors(20.0)
 
     def test_hello_tick_addresses_up_neighbors_only(self):
         r = fresh_router(1)
@@ -260,7 +260,7 @@ class TestNeighborLifecycle:
         r.ingest_discovery(3, frozenset({"internet"}), now=0.0)
         r.receive_hello(3, 10.0)
         # at t=20 neighbor 2 (silent since 0) is past hold; 3 is fresh
-        assert r.hello_tick(20.0) == [3]
+        assert set(r.hello_tick(20.0)) == {3}
 
     def test_hello_tick_never_invalidates_routes(self):
         # a stale next hop is only dropped by the explicit expiry sweep at
@@ -270,7 +270,7 @@ class TestNeighborLifecycle:
         r1 = routers[1]
         assert set(r1.routes) == {2, 3}
         version = r1.table_version
-        assert r1.hello_tick(50.0) == []
+        assert not r1.hello_tick(50.0)
         assert set(r1.routes) == {2, 3}
         assert r1.table_version == version
 
@@ -314,7 +314,7 @@ class TestBuildUpdate:
         for peer in (4, 2, 9):
             r.ingest_discovery(peer, frozenset({"internet"}), now=0.0)
         batch = r.build_update(0.0)
-        assert batch.recipients == (2, 4, 9)
+        assert sorted(batch.recipients) == [2, 4, 9]
 
     def test_split_horizon_omits_routes_learned_from_receiver(self):
         # star with center 1: leaves 2 and 3; center learns each leaf from
@@ -339,6 +339,20 @@ class TestBuildUpdate:
         peer.ingest_discovery(1, frozenset({"internet"}), now=0.0)
         r.process_update(peer.build_update(0.0), now=1.5)
         assert r.build_update(2.0) is not first
+
+    def test_batch_keeps_rows_after_table_changes(self):
+        # a batch is a snapshot: the sender's later table changes do not
+        # reach a batch built before them, whose delivery may come later
+        routers = converge({1: frozenset({"internet"}), 2: frozenset({"internet"}),
+                            3: frozenset({"internet"})})
+        r1 = routers[1]
+        batch = r1.build_update(0.0)
+        before = {receiver: list(batch.rows_for(receiver)) for receiver in (2, 3)}
+        assert [row[0] for row in before[2]] == [1, 3]
+        r1.expire_check(r1.timers.hold_time + 1.0)
+        assert not r1.routes
+        assert {receiver: list(batch.rows_for(receiver)) for receiver in (2, 3)} == before
+        assert batch.row_count_for(2) == len(before[2])
 
 
 class TestProcessUpdate:

@@ -1,13 +1,15 @@
 """Simulator tests: config plumbing, determinism, accounting conservation,
 convergence semantics, migration, and the traffic meters."""
 
+import dataclasses
 import hashlib
 import json
 import math
 
 import pytest
 
-from stegrouter.core import AgentKind, DEFAULT_METHODS, StegMethodProfile
+from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile
+from stegrouter.router import RouterTimers
 from stegrouter.sim import (
     SUMMARY_CSV_COLUMNS,
     ConfigError,
@@ -35,6 +37,19 @@ def churn_panel():
 
 def frame(time, level):
     return MetricsFrame(time, level, level, 0.0, 0.0, 0.0)
+
+
+# A valid config in which every field differs from its default.
+OTHER = SimConfig(
+    duration=900.0, n_agents=40, sa_fraction=0.25, p_f=0.5, migration_rate=0.01, seed=7,
+    sampling_interval=5.0, discovery_interval=20.0, walk_hop_latency=0.002, hop_limit=8,
+    timers=RouterTimers(4.0, 12.5, 20.0), sizes=MessageSizes(65, 33, 17, 25),
+    methods=(StegMethodProfile("x", "X", 123.5, 0.25, 0.5, 9),),
+)
+SECTIONS = {"timers": RouterTimers, "sizes": MessageSizes, "methods": StegMethodProfile}
+CONFIG_FIELDS = [
+    (None, f.name) for f in dataclasses.fields(SimConfig) if f.name not in SECTIONS
+] + [(section, f.name) for section, cls in SECTIONS.items() for f in dataclasses.fields(cls)]
 
 
 class TestConfig:
@@ -72,6 +87,23 @@ class TestConfig:
                         {"methods": "text"}):
             with pytest.raises(ConfigError):
                 SimConfig.from_mapping(mapping)
+
+    @pytest.mark.parametrize("section,name", CONFIG_FIELDS)
+    def test_string_value_roundtrip(self, section, name):
+        # every field of every section is parsed from its string form (as
+        # the CLI and the INI file give it) and echoed back unchanged
+        mapping = OTHER.to_mapping()
+        default = SimConfig().to_mapping()
+        if section is None:
+            fields, default_fields = mapping, default
+        elif section == "methods":
+            fields, default_fields = mapping["methods"][0], default["methods"][0]
+        else:
+            fields, default_fields = mapping[section], default[section]
+        assert fields[name] != default_fields[name]
+        fields[name] = str(fields[name])
+        echoed = SimConfig.from_mapping(mapping).to_mapping()
+        assert json.dumps(echoed, sort_keys=True) == json.dumps(OTHER.to_mapping(), sort_keys=True)
 
     def test_zero_duration_allowed(self):
         report = run(SimConfig(duration=0.0, n_agents=20))
@@ -192,7 +224,7 @@ class TestConvergence:
         assert platform.convergence_level() == 1.0
         # a fresh SA joins: its links exist capability-wise immediately,
         # but no tables mention it yet
-        platform._spawn_replacement(AgentKind.STEG, 600.0)
+        platform._spawn_replacement(True, 600.0)
         assert platform.convergence_level() < 1.0
         platform.run_until(900.0)
         assert platform.convergence_level() == 1.0
@@ -217,20 +249,19 @@ class TestMigration:
     def test_no_migration_no_churn(self):
         platform = Platform(SimConfig(duration=600.0, n_agents=60, seed=3))
         platform.run_until(600.0)
-        assert len(platform.agents) == 60
+        assert platform._alive == list(range(60))
 
     def test_poisson_event_count_and_conservation(self):
         # M = 1/60 over 1800 s: Poisson mean 30, 3 sigma ~ 16.4
         cfg = SimConfig(duration=1800.0, n_agents=60, migration_rate=1 / 60, seed=11)
         platform = Platform(cfg)
         platform.run_until(1800.0)
-        migrations = len(platform.agents) - 60
+        migrations = platform._next_id - 60
         assert 14 <= migrations <= 46
-        alive = [a for a in platform.agents.values() if a.alive]
-        assert len(alive) == 60
+        assert len(platform._alive) == len(set(platform._alive)) == 60
         # replacements preserve the agent kind, so the SA head count holds
-        live_sas = [a for a in alive if a.kind is AgentKind.STEG]
-        assert len(live_sas) == cfg.n_steg_agents
+        assert len(platform.routers) == cfg.n_steg_agents
+        assert set(platform.routers) <= set(platform._alive)
 
     def test_churn_causes_convergence_dips(self, churn_panel):
         # churn must visibly interrupt converged operation: most seeds
@@ -312,8 +343,8 @@ class TestMeters:
         # 512 bits / (80 bit/s * 10 s) = 0.64, below saturation
         platform = self.make_two_sa_platform()
         a, b = sorted(platform.routers)
-        platform._account("hello", a, b, 1, 32, on_link=True)
-        platform._account("hello", b, a, 1, 32, on_link=True)
+        platform._send("hello", a, b, 32)
+        platform._send("hello", b, a, 32)
         f = platform._measure(10.0)
         assert f.capacity_usage == 0.64
         assert f.saturated_link_fraction == 0.0
@@ -326,21 +357,19 @@ class TestMeters:
         a, b = sorted(platform.routers)
         payload = platform.config.sizes.update_payload(100)
         assert payload == 2416
-        platform._account("routing_update", a, b, 1, payload, on_link=True)
+        platform._send("routing_update", a, b, payload)
         f = platform._measure(30.0)
         assert f.saturated_link_fraction == 1.0
 
     def test_walk_traffic_counts_toward_overhead_not_links(self):
         platform = self.make_two_sa_platform()
         a, b = sorted(platform.routers)
-        platform._account("discovery", a, b, 4, 256, on_link=False)
+        platform._walk_sent(a, b, 4)
         f = platform._measure(10.0)
         assert f.routing_overhead_per_link_bps == 256 * 8 / 10
         assert f.capacity_usage == 0.0
 
     def test_halving_update_rate_halves_update_share(self):
-        from stegrouter.router import RouterTimers
-
         reports = []
         for update_interval in (30.0, 60.0):
             cfg = SimConfig(duration=900.0, n_agents=100, seed=7,

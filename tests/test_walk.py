@@ -10,6 +10,27 @@ from scipy import stats
 from stegrouter.walk import run_walk
 
 
+class BoundedRandom(random.Random):
+    """A generator that counts its draws and fails after 10^4 of them."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.draws = 0
+
+    def _count(self):
+        self.draws += 1
+        if self.draws > 10_000:
+            raise RuntimeError("walk still drawing after 10^4 draws")
+
+    def random(self):
+        self._count()
+        return super().random()
+
+    def randrange(self, *args):
+        self._count()
+        return super().randrange(*args)
+
+
 def walk_lengths(p_f, n_walks, seed, population_size=40):
     rng = random.Random(seed)
     population = list(range(population_size))
@@ -63,11 +84,15 @@ class TestChooseNextProxy:
             assert path == [1, 2] * (len(path) // 2) + [1] * (len(path) % 2)
 
     def test_no_candidates(self):
-        rng = random.Random(0)
-        with pytest.raises(ValueError):
-            run_walk(1, 0.5, [], rng)
-        with pytest.raises(ValueError):
-            run_walk(3, 0.5, [3], rng)
+        # fewer than two distinct agents is rejected before the first
+        # draw, whatever the seed; a walk that keeps drawing fails instead
+        # of hanging
+        for population, originator in (([], 1), ([3], 3), ([3, 3], 3), ([5], 0)):
+            for seed in range(20):
+                rng = BoundedRandom(seed)
+                with pytest.raises(ValueError, match="two distinct"):
+                    run_walk(originator, 0.5, population, rng)
+                assert rng.draws == 0
 
     def test_uniform_over_other_candidates(self):
         # 100 agents, 10^6 first sends: each of the 99 candidates within
