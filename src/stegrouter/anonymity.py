@@ -129,12 +129,9 @@ def sender_distribution(s: AdversaryScenario) -> SenderDistribution:
 
 def adaptive_entropy(s: AdversaryScenario) -> EntropyReport:
     """Entropy of the adaptive-attack posterior, in closed form."""
-    _require_honest_sender(s)
-    n, c = s.total_agents, s.colluders
-    p1 = 1.0 - s.p_f * (n - c - 1) / n
-    each = s.p_f / n
-    entropy = -_plog2p(p1) - (n - c - 1) * _plog2p(each)
-    return _report(entropy, n - c)
+    d = sender_distribution(s)
+    entropy = -_plog2p(d.predecessor) - (d.honest_agents - 1) * _plog2p(d.each_other)
+    return _report(entropy, d.honest_agents)
 
 
 def escape_probability(s: AdversaryScenario) -> float:
@@ -163,6 +160,8 @@ def static_entropy(s: AdversaryScenario) -> EntropyReport:
     p_f = s.p_f
     intercepted = c / (n - p_f * (n - c))  # 1 - escape probability
     escaped = 1.0 - intercepted
+    # The predecessor probability in its printed shape: it does not round
+    # like predecessor_probability's 1 - p_f(N-C-1)/N, so it is not reused.
     p1 = (n - p_f * (n - c - 1)) / n
     first = -intercepted * _plog2p(p1)
     coefficient = escaped * p_f * (n - c - 1) / n

@@ -130,6 +130,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
 
 # -- configuration assembly ----------------------------------------------------
 
+# Config-file section (and --set prefix) -> the SimConfig field its keys
+# fill; None puts the keys at the top level.
 _SECTION_KEYS = {"run": None, "timers": "timers", "messages": "sizes"}
 
 
@@ -151,7 +153,7 @@ def _resolve_config(args: argparse.Namespace) -> SimConfig:
 def _merge(base: dict, extra: Mapping) -> None:
     for key, value in extra.items():
         old = base.get(key)
-        if key in ("timers", "sizes") and isinstance(old, Mapping) and isinstance(value, Mapping):
+        if isinstance(old, Mapping) and isinstance(value, Mapping):
             base[key] = {**old, **value}
         else:
             base[key] = value
@@ -173,12 +175,12 @@ def _load_config_file(path: str) -> dict:
     methods = []
     for section in parser.sections():
         items = dict(parser.items(section))
-        if section == "run":
-            mapping.update(items)
-        elif section == "timers":
-            mapping["timers"] = items
-        elif section == "messages":
-            mapping["sizes"] = items
+        if section in _SECTION_KEYS:
+            target = _SECTION_KEYS[section]
+            if target is None:
+                mapping.update(items)
+            else:
+                mapping[target] = items
         elif section.startswith("method:"):
             methods.append({"id": section.split(":", 1)[1], **items})
         else:
@@ -196,12 +198,10 @@ def _parse_override(item: str) -> dict:
     value = value.strip()
     if "." in key:
         section, field = key.split(".", 1)
-        if section == "run":
-            return {field: value}
-        mapped = _SECTION_KEYS.get(section)
-        if mapped is None:
+        if section not in _SECTION_KEYS:
             raise ConfigError(f"unknown override section {section!r}")
-        return {mapped: {field: value}}
+        target = _SECTION_KEYS[section]
+        return {field: value} if target is None else {target: {field: value}}
     return {key: value}
 
 
@@ -435,7 +435,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     config = _resolve_config(args)
     print("configuration ok")
     for key, value in sorted(config.to_mapping().items()):
-        if key not in ("timers", "sizes", "methods"):
+        if not isinstance(value, (dict, list)):
             print(f"  {key} = {value}")
     return EXIT_OK
 

@@ -11,20 +11,23 @@ than the hop limit are treated as unreachable.
 
 Updates are processed incrementally.  Each router logs, in order, every
 destination whose route changed, and apart from that every destination
-whose route got worse or was removed, with both log lengths at every
-table version.  Once a receiver R has processed sender S's table, every
-destination d is settled: if S advertises d with candidate key c, R's
-route to d goes via S with key c, or via another hop with a better key
-(an equal key only with a lower hop id); if S does not advertise d, R has
-no route to d via S.  Only two things can unsettle d: a change of S's row
-for d (added, modified, deleted, or moved into or out of R's split-horizon
-group), or R's own route to d getting worse or going away (an overwrite
-by its own next hop, a withdrawal, an expiry); a route that only gets
-better keeps d settled.  So a later table from S is applied only to the
-destinations in S's change log since the table R last processed and in
-R's loss log since then; every other destination would come out
-unchanged.  A first contact, a re-formed link or a table older than the
-last one processed is applied in full.
+whose route got worse or was removed.  Every table change logs at least
+one destination, so the change log's length is the table version.  Once
+a receiver R has processed sender S's table, every destination d is
+settled: if S advertises d with candidate key c, R's route to d goes via
+S with key c, or via another hop with a better key (an equal key only
+with a lower hop id); if S does not advertise d, R has no route to d via
+S.  Only two things can unsettle d: a change of S's row for d (added,
+modified, deleted, or moved into or out of R's split-horizon group), or
+R's own route to d getting worse or going away (an overwrite by its own
+next hop, a withdrawal, an expiry); a route that only gets better keeps
+d settled.  So a later table from S is applied only to the destinations
+in S's change log since the table R last processed and in R's loss log
+since then; every other destination would come out unchanged.  The loss
+log only grows together with the table version, so its length at the
+last processed table marks where "since then" starts.  A first contact,
+a re-formed link or a table older than the last one processed is applied
+in full.
 """
 from __future__ import annotations
 
@@ -99,8 +102,8 @@ class UpdateBatch:
     `routes` is a copy of the sender's route table; with the sender's self
     row in front, it is what the wire carries, and the message addressed
     to neighbor X skips the routes whose next hop is X (split horizon).
-    `log` and `marks` are the sender's change log, read only up to
-    `marks[sender_version]`, which keeps the batch a snapshot.
+    `log` is the sender's change log, read only up to `sender_version`,
+    its length when the batch was built, which keeps the batch a snapshot.
     """
 
     sender: AgentId
@@ -109,7 +112,6 @@ class UpdateBatch:
     group_sizes: Counter  # routes per sender next hop
     recipients: tuple[AgentId, ...]
     log: list[AgentId]
-    marks: list[int]
 
     @property
     def self_row(self) -> Row:
@@ -146,23 +148,17 @@ class StegRouter:
         self.hop_limit = hop_limit
         self.neighbors: dict[AgentId, NeighborEntry] = {}
         self.routes: dict[AgentId, RouteEntry] = {}
-        self.table_version = 0
         # Destinations in the order their route changed (_log) or got worse
-        # or was removed (_lost), and each log's length at the moment the
-        # table reached each version.
+        # or was removed (_lost).
         self._log: list[AgentId] = []
-        self._marks: list[int] = [0]
         self._lost: list[AgentId] = []
-        self._lost_marks: list[int] = [0]
-        # sender -> (sender table version, own table version) right after
+        # sender -> (sender table version, own loss log length) right after
         # a table from that sender was last processed.
         self._processed: dict[AgentId, tuple[int, int]] = {}
-        self._batch_cache: Optional[UpdateBatch] = None
 
-    def _new_version(self) -> None:
-        self.table_version += 1
-        self._marks.append(len(self._log))
-        self._lost_marks.append(len(self._lost))
+    @property
+    def table_version(self) -> int:
+        return len(self._log)
 
     # -- neighbor maintenance -------------------------------------------
 
@@ -243,10 +239,8 @@ class StegRouter:
             ]
             for dest in stale:
                 del self.routes[dest]
-            if stale:
-                self._log.extend(stale)
-                self._lost.extend(stale)
-                self._new_version()
+            self._log.extend(stale)
+            self._lost.extend(stale)
         return expired
 
     # -- update emission --------------------------------------------------
@@ -258,25 +252,15 @@ class StegRouter:
         recipients = tuple(self.up_neighbors(now))
         if not recipients:
             return None
-        cached = self._batch_cache
-        if (
-            cached is not None
-            and cached.sender_version == self.table_version
-            and cached.recipients == recipients
-        ):
-            return cached
         routes = dict(self.routes)
-        batch = UpdateBatch(
+        return UpdateBatch(
             sender=self.agent_id,
-            sender_version=self.table_version,
+            sender_version=len(self._log),
             routes=routes,
             group_sizes=Counter(route.next_hop for route in routes.values()),
             recipients=recipients,
             log=self._log,
-            marks=self._marks,
         )
-        self._batch_cache = batch
-        return batch
 
     # -- update processing ------------------------------------------------
 
@@ -306,9 +290,8 @@ class StegRouter:
                 dest for dest, route in routes.items() if route.next_hop == sender
             )
         else:
-            marks = batch.marks
-            candidates = set(batch.log[marks[seen[0]] : marks[batch.sender_version]])
-            candidates.update(self._lost[self._lost_marks[seen[1]] :])
+            candidates = set(batch.log[seen[0] : batch.sender_version])
+            candidates.update(self._lost[seen[1] :])
         me = self.agent_id
         candidates.discard(me)
 
@@ -357,9 +340,7 @@ class StegRouter:
                 lost.append(dest)
                 changed = True
 
-        if changed:
-            self._new_version()
-        self._processed[sender] = (batch.sender_version, self.table_version)
+        self._processed[sender] = (batch.sender_version, len(lost))
         return changed
 
     # -- inspection ---------------------------------------------------------

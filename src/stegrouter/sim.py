@@ -9,7 +9,6 @@ Identical configs (including the seed) produce byte-identical reports.
 """
 from __future__ import annotations
 
-import bisect
 import csv
 import functools
 import heapq
@@ -22,7 +21,7 @@ import tempfile
 import typing
 from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import IntEnum
-from typing import Callable, Iterable, Mapping, Optional, Sequence
+from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
 from scipy.sparse import csr_matrix
@@ -38,7 +37,7 @@ from .core import (
     derive_capabilities,
     method_table,
 )
-from .router import RouterTimers, StegRouter, best_method_on_link
+from .router import RouterTimers, StegRouter, UpdateBatch, best_method_on_link
 from .walk import run_walk
 
 
@@ -240,11 +239,12 @@ class Platform:
         self.config = config
         self.profiles = method_table(config.methods)
         self.kernel = EventKernel()
+        # One router per alive steg agent, in ascending id order: ids enter
+        # in ascending order and are never reused.
         self.routers: dict[AgentId, StegRouter] = {}
         self.frames: list[MetricsFrame] = []
         self._trace = trace
         self._alive: list[AgentId] = []
-        self._alive_sas: list[AgentId] = []
         self._mask: dict[AgentId, int] = {}
         self._bit = {p.id: 1 << i for i, p in enumerate(config.methods)}
         self._bw_by_mask = _best_bandwidth_by_mask(self.profiles)
@@ -286,7 +286,6 @@ class Platform:
         ordinary one otherwise."""
         self._alive.append(agent_id)
         if caps:
-            bisect.insort(self._alive_sas, agent_id)
             self._mask[agent_id] = sum(self._bit[m] for m in caps)
             self.routers[agent_id] = StegRouter(
                 agent_id,
@@ -303,8 +302,7 @@ class Platform:
         if agent_id not in self._alive:
             return
         self._alive.remove(agent_id)
-        if self.routers.pop(agent_id, None) is not None:
-            self._alive_sas.remove(agent_id)
+        self.routers.pop(agent_id, None)
         self._population_version += 1
         self._ever_removed = True
 
@@ -330,7 +328,7 @@ class Platform:
 
     def _schedule_initial(self) -> None:
         cfg = self.config
-        for agent_id in self._alive_sas:
+        for agent_id in self.routers:
             self.kernel.schedule(
                 self._rng_timers.uniform(0, cfg.timers.hello_interval), _Ev.HELLO, agent_id
             )
@@ -394,6 +392,15 @@ class Platform:
         if self._trace is not None:
             self._trace(self.kernel.now, "discovery", originator, holder, hops, nbytes)
 
+    def _deliver_update(self, batch: UpdateBatch, recipient: AgentId, now: float) -> None:
+        """Account the message of `batch` addressed to `recipient`, then
+        have the recipient apply it if it is still alive."""
+        payload = self.config.sizes.update_payload(batch.row_count_for(recipient))
+        self._send("routing_update", batch.sender, recipient, payload)
+        peer = self.routers.get(recipient)
+        if peer is not None:
+            peer.process_update(batch, now)
+
     # -- event handlers ---------------------------------------------------------
 
     def _on_hello(self, agent_id: AgentId, now: float) -> None:
@@ -414,13 +421,8 @@ class Platform:
             return
         batch = router.build_update(now)
         if batch is not None:
-            sizes = self.config.sizes
             for recipient in batch.recipients:
-                payload = sizes.update_payload(batch.row_count_for(recipient))
-                self._send("routing_update", agent_id, recipient, payload)
-                peer = self.routers.get(recipient)
-                if peer is not None:
-                    peer.process_update(batch, now)
+                self._deliver_update(batch, recipient, now)
         self.kernel.schedule(now + self.config.timers.update_interval, _Ev.UPDATE, agent_id)
 
     def _on_discovery(self, agent_id: AgentId, now: float) -> None:
@@ -449,16 +451,12 @@ class Platform:
             return
         # New neighbor relation: answer with own capabilities over the
         # fresh covert channel, then both sides swap full tables.
-        sizes = self.config.sizes
-        self._send("discovery", holder, originator, sizes.discovery)
+        self._send("discovery", holder, originator, self.config.sizes.discovery)
         origin.ingest_discovery(holder, receiver.capabilities, now)
-        for sender, dest in ((holder, originator), (originator, holder)):
-            batch = self.routers[sender].build_update(now)
-            if batch is None:
-                continue
-            payload = sizes.update_payload(batch.row_count_for(dest))
-            self._send("routing_update", sender, dest, payload)
-            self.routers[dest].process_update(batch, now)
+        for router, dest in ((receiver, originator), (origin, holder)):
+            batch = router.build_update(now)
+            if batch is not None:
+                self._deliver_update(batch, dest, now)
 
     def _on_migrate(self, now: float) -> None:
         victim = self._alive[self._rng_migrations.randrange(len(self._alive))]
@@ -484,19 +482,17 @@ class Platform:
 
     def _current_topology(self) -> _Topology:
         if self._topology_version != self._population_version:
-            self._topology = _build_topology(
-                self._alive_sas, self._mask, self._bw_by_mask
-            )
+            self._topology = _build_topology(self.routers, self._mask, self._bw_by_mask)
             self._topology_version = self._population_version
         return self._topology
 
     def _routed_pairs(self) -> int:
         if not self._ever_removed:
             return sum(len(r.routes) for r in self.routers.values())
-        alive = set(self._alive_sas)
+        routers = self.routers
         return sum(
-            sum(1 for dest in router.routes if dest in alive)
-            for router in self.routers.values()
+            sum(1 for dest in router.routes if dest in routers)
+            for router in routers.values()
         )
 
     def convergence_level(self) -> float:
@@ -513,7 +509,7 @@ class Platform:
         window = now - self._last_sample_t
         routed = self._routed_pairs()
         level = 1.0 if topo.connected_pairs == 0 else routed / topo.connected_pairs
-        n_sa = len(self._alive_sas)
+        n_sa = len(self.routers)
         level_all = 1.0 if n_sa < 2 else routed / (n_sa * (n_sa - 1))
         link_bits = sum(self._win_link_bits.values())
         if topo.n_links and window > 0:
@@ -585,7 +581,7 @@ def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) 
 
 
 def _build_topology(
-    alive_sas: Sequence[AgentId],
+    alive_sas: Collection[AgentId],
     mask: Mapping[AgentId, int],
     bw_by_mask: np.ndarray,
 ) -> _Topology:

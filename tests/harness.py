@@ -60,20 +60,19 @@ def run_rounds(routers, max_rounds=200, now=0.0):
 def reference_process_update(router, batch, now):
     """The full-table update rule, applied to every row of the batch on
     every call: the specification that `StegRouter.process_update` must
-    match step for step.  Mutates `router` exactly as that method does
-    (routes, table version, the per-sender memo) and returns whether its
-    table changed."""
+    match step for step.  Changes the routes as that method does, appends
+    each changed destination to the change log so that the table versions
+    compare, and returns whether the table changed."""
     sender = batch.sender
     entry = router.neighbors.get(sender)
     if entry is None or now - entry.last_hello_at > router.timers.hold_time:
-        return False
-    seen = router._processed.get(sender)
-    if seen == (batch.sender_version, router.table_version):
         return False
 
     neg_link_bw, link_delay, link_rank, _ = entry.link_key
     me = router.agent_id
     routes = router.routes
+    log = router._log
+    version = len(log)
 
     advertised = {}
     for dest, bw, delay, rank, hops in batch.rows_for(me):
@@ -89,7 +88,6 @@ def reference_process_update(router, batch, now):
             total_hops,
         )
 
-    changed = False
     for dest, key in advertised.items():
         current = routes.get(dest)
         if current is None:
@@ -101,7 +99,7 @@ def reference_process_update(router, batch, now):
             adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
         if adopt:
             routes[dest] = RouteEntry(sender, key, entry.best_method)
-            changed = True
+            log.append(dest)
 
     withdrawn = [
         dest
@@ -110,12 +108,8 @@ def reference_process_update(router, batch, now):
     ]
     for dest in withdrawn:
         del routes[dest]
-        changed = True
-
-    if changed:
-        router.table_version += 1
-    router._processed[sender] = (batch.sender_version, router.table_version)
-    return changed
+        log.append(dest)
+    return len(log) != version
 
 
 def converge(capabilities, profiles=DEFAULT_TABLE, hop_limit=32):

@@ -1,12 +1,14 @@
 """Command-line interface tests, driven in-process through main()."""
 
 import csv
+import dataclasses
 import json
+import typing
 
 import pytest
 
-from stegrouter.cli import PRESETS, REPORT_CSV_COLUMNS, main
-from stegrouter.sim import SUMMARY_CSV_COLUMNS, write_summary_csv
+from stegrouter.cli import PRESETS, REPORT_CSV_COLUMNS, _SECTION_KEYS, _load_config_file, main
+from stegrouter.sim import SUMMARY_CSV_COLUMNS, SimConfig, write_summary_csv
 
 
 def run_cli(*argv):
@@ -93,6 +95,40 @@ class TestValidate:
 
     def test_missing_config_file(self, tmp_path):
         assert run_cli("validate", "--config", str(tmp_path / "absent.ini")) == 2
+
+    def test_output_bytes(self, capsys):
+        assert run_cli("validate", "--preset", "n1000", "--set", "timers.hold_time=20",
+                       "--set", "p_f=0.8") == 0
+        assert capsys.readouterr().out == (
+            "configuration ok\n"
+            "  discovery_interval = 10.0\n"
+            "  duration = 1800.0\n"
+            "  hop_limit = 32\n"
+            "  migration_rate = 0.0\n"
+            "  n_agents = 1000\n"
+            "  p_f = 0.8\n"
+            "  sa_fraction = 0.1\n"
+            "  sampling_interval = 10.0\n"
+            "  seed = 1\n"
+            "  walk_hop_latency = 0.001\n"
+        )
+
+    def test_section_table_names_the_nested_config_fields(self, tmp_path):
+        hints = typing.get_type_hints(SimConfig)
+        nested = {f.name for f in dataclasses.fields(SimConfig)
+                  if dataclasses.is_dataclass(hints[f.name])}
+        assert {target for target in _SECTION_KEYS.values() if target} == nested
+        ini = tmp_path / "sections.ini"
+        ini.write_text("[run]\nseed = 3\n[timers]\nhold_time = 20\n[messages]\nhello = 48\n")
+        assert _load_config_file(str(ini)) == {
+            "seed": "3", "timers": {"hold_time": "20"}, "sizes": {"hello": "48"}}
+
+    def test_field_names_are_not_section_names(self, tmp_path):
+        # sections go by their config-file names only
+        ini = tmp_path / "sizes.ini"
+        ini.write_text("[sizes]\nhello = 1\n")
+        assert run_cli("validate", "--config", str(ini)) == 2
+        assert run_cli("validate", "--set", "sizes.hello=1") == 2
 
 
 class TestUsageErrors:

@@ -333,12 +333,18 @@ class TestBuildUpdate:
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         first = r.build_update(0.0)
-        assert r.build_update(1.0) is first
-        # table change invalidates the snapshot
+        # an unchanged table snapshots to the same contents and version
+        again = r.build_update(1.0)
+        assert (again.sender_version, again.routes, again.recipients) == (
+            first.sender_version, first.routes, first.recipients)
+        # a table change shows in the next snapshot and bumps its version
         peer = fresh_router(2)
         peer.ingest_discovery(1, frozenset({"internet"}), now=0.0)
         r.process_update(peer.build_update(0.0), now=1.5)
-        assert r.build_update(2.0) is not first
+        later = r.build_update(2.0)
+        assert later.sender_version == first.sender_version + 1
+        assert set(later.routes) == {2} and not first.routes
+        assert list(later.rows_for(3)) == [(1, math.inf, 0.0, 0, 0), (2, 300_000.0, 0.0, 1, 1)]
 
     def test_batch_keeps_rows_after_table_changes(self):
         # a batch is a snapshot: the sender's later table changes do not

@@ -263,6 +263,19 @@ class TestMigration:
         assert len(platform.routers) == cfg.n_steg_agents
         assert set(platform.routers) <= set(platform._alive)
 
+    def test_routers_stay_in_ascending_id_order(self):
+        # timer draws and topology sums iterate the routers in id order,
+        # which the dict keeps only because ids enter in ascending order
+        cfg = SimConfig(duration=600.0, n_agents=40, sa_fraction=0.5, migration_rate=1 / 5, seed=4)
+        platform = Platform(cfg)
+        replaced = set()
+        for step in range(1, 61):
+            platform.run_until(step * 10.0)
+            ids = list(platform.routers)
+            assert ids == sorted(ids)
+            replaced.update(i for i in ids if i >= cfg.n_agents)
+        assert len(replaced) >= 10
+
     def test_churn_causes_convergence_dips(self, churn_panel):
         # churn must visibly interrupt converged operation: most seeds
         # dip below full tables during the final third of the run
