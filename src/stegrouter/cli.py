@@ -73,7 +73,7 @@ def _build_parser() -> _Parser:
     _add_config_args(sim)
     sim.add_argument("--seeds", default="1", help="seed list: '3', '1,2,7', '1..10' or '1..9:2'")
     sim.add_argument("--output-dir", default=None, help=f"output directory (or ${OUTPUT_DIR_ENV})")
-    sim.add_argument("--workers", type=int, default=1, help="parallel worker processes")
+    sim.add_argument("--workers", type=_positive_int, default=1, help="parallel worker processes")
 
     ent = sub.add_parser("entropy", help="evaluate sender-anonymity entropy over a grid")
     ent.add_argument("--n", required=True, help="population sizes, e.g. '10000' or '100,1000'")
@@ -97,6 +97,16 @@ def _build_parser() -> _Parser:
     val = sub.add_parser("validate", help="check a configuration without running")
     _add_config_args(val)
     return parser
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
 
 
 def _add_config_args(parser: argparse.ArgumentParser) -> None:
@@ -228,6 +238,11 @@ def _run_one(payload: tuple[dict, str]) -> tuple[int, dict]:
 def _cmd_simulate(args: argparse.Namespace) -> int:
     base = _resolve_config(args)
     seeds = _parse_int_grid(args.seeds, "seed")
+    seen: set[int] = set()
+    for seed in seeds:
+        if seed in seen:
+            raise ConfigError(f"seed {seed} appears more than once in --seeds {args.seeds!r}")
+        seen.add(seed)
     label = args.preset or (Path(args.config).stem if args.config else "run")
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)

@@ -1,7 +1,11 @@
 """Distance-vector routing over steg-links.
 
 Each steg agent keeps a neighbor table maintained by hellos and a route
-table exchanged through periodic full-table updates.  Route quality is a
+table exchanged through periodic full-table updates.  A neighbor counts
+as Up while it was heard from within the hold time, or while the platform
+vouches that it is alive: a live peer beacons every hello interval, which
+is shorter than the hold time, so it never goes stale and its hellos need
+not refresh the entry one by one.  Route quality is a
 lexicographic metric: widest bottleneck first, then lowest added delay,
 then best (lowest) worst-case method preference rank, then fewest hops;
 remaining ties are broken by the lower next-hop id.  Split horizon is
@@ -75,12 +79,14 @@ class RouterTimers:
 @dataclass(slots=True)
 class NeighborEntry:
     """A steg-link as one endpoint sees it: the method it sends over, that
-    method's one-hop key, and when the peer was last heard from.  The peer
-    counts as Up while `now - last_hello_at <= hold_time`."""
+    method's one-hop key, and when the peer was last heard from (by hello
+    or discovery).  The peer counts as Up while `peer_alive` is set (see
+    `StegRouter.vouch`) or while `now - last_hello_at <= hold_time`."""
 
     best_method: StegMethodId
     link_key: Key
     last_hello_at: float
+    peer_alive: bool = False
 
 
 @dataclass(frozen=True, slots=True)
@@ -147,6 +153,10 @@ class StegRouter:
         self.timers = timers
         self.hop_limit = hop_limit
         self.neighbors: dict[AgentId, NeighborEntry] = {}
+        # Neighbors with `peer_alive` set, and the time of this router's
+        # latest hello beacon.
+        self.vouched = 0
+        self.last_beacon = -math.inf
         self.routes: dict[AgentId, RouteEntry] = {}
         # Destinations in the order their route changed (_log) or got worse
         # or was removed (_lost).
@@ -179,7 +189,7 @@ class StegRouter:
             return False
         entry = self.neighbors.get(advertiser)
         if entry is not None:
-            fresh = now - entry.last_hello_at <= self.timers.hold_time
+            fresh = entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time
             entry.last_hello_at = now
             if fresh:
                 return False
@@ -195,40 +205,68 @@ class StegRouter:
         return True
 
     def receive_hello(self, sender: AgentId, now: float) -> None:
+        """A hello from `sender` sent at `now`; never moves the entry's
+        last-heard time backwards."""
         entry = self.neighbors.get(sender)
-        if entry is not None:
+        if entry is not None and now > entry.last_hello_at:
             entry.last_hello_at = now
 
+    def vouch(self, peer: AgentId) -> None:
+        """The platform guarantees that `peer` is alive and beacons to this
+        router every hello interval: its entry counts as Up, without being
+        refreshed, until `unvouch`."""
+        entry = self.neighbors[peer]
+        if not entry.peer_alive:
+            entry.peer_alive = True
+            self.vouched += 1
+
+    def unvouch(self, peer: AgentId, final_beacon: float) -> None:
+        """`peer` departed after its last beacon at `final_beacon`: from now
+        on its entry ages from the later of that beacon and the last time
+        the peer was heard from otherwise, as if every beacon had arrived."""
+        entry = self.neighbors[peer]
+        if entry.peer_alive:
+            entry.peer_alive = False
+            self.vouched -= 1
+        self.receive_hello(peer, final_beacon)
+
     def up_neighbors(self, now: float) -> list[AgentId]:
-        """Neighbors heard from within the hold time, in the order they
-        were first discovered (entries are never deleted)."""
+        """Vouched neighbors and neighbors heard from within the hold time,
+        in the order they were first discovered (entries are never
+        deleted)."""
+        if self.vouched == len(self.neighbors):
+            return list(self.neighbors)
         hold = self.timers.hold_time
         return [
             nid
             for nid, entry in self.neighbors.items()
-            if now - entry.last_hello_at <= hold
+            if entry.peer_alive or now - entry.last_hello_at <= hold
         ]
 
     def hello_tick(self, now: float) -> list[AgentId]:
-        """One beat of the liveness beacon: the addressees for this
-        interval's hello, i.e. every neighbor currently heard from
-        recently enough to count as Up.  A hello carries no payload
-        beyond the sender's identity, so the emission is just the
-        recipient list; delivery refreshes the peer via receive_hello.
-        Stale neighbors are merely skipped here — their routes are
-        invalidated at the next periodic table emission, never sooner,
-        so link loss is only ever disclosed on the regular cadence."""
+        """One beat of the liveness beacon: records `now` as this router's
+        latest beacon and returns the addressees of this interval's hello,
+        i.e. every Up neighbor.  A hello carries no payload beyond the
+        sender's identity, so the emission is just the recipient list.  A
+        vouched recipient needs no delivery; any other one is refreshed by
+        delivering the hello through receive_hello.  Stale neighbors are
+        merely skipped here — their routes are invalidated at the next
+        periodic table emission, never sooner, so link loss is only ever
+        disclosed on the regular cadence."""
+        self.last_beacon = now
         return self.up_neighbors(now)
 
     def expire_check(self, now: float) -> list[AgentId]:
         """Invalidate routes whose next hop has gone stale.  Expiry is a
         local, silent event: nothing is emitted until the next periodic
         update simply stops mentioning the lost destinations."""
+        if self.vouched == len(self.neighbors):
+            return []
         hold = self.timers.hold_time
         expired = [
             nid
             for nid, entry in self.neighbors.items()
-            if now - entry.last_hello_at > hold
+            if not entry.peer_alive and now - entry.last_hello_at > hold
         ]
         if expired:
             dead = set(expired)
@@ -278,7 +316,9 @@ class StegRouter:
         """
         sender = batch.sender
         entry = self.neighbors.get(sender)
-        if entry is None or now - entry.last_hello_at > self.timers.hold_time:
+        if entry is None or (
+            not entry.peer_alive and now - entry.last_hello_at > self.timers.hold_time
+        ):
             return False
         routes = self.routes
         sent = batch.routes
@@ -383,7 +423,9 @@ def resolve_steg_path(
             return None
         if now is not None:
             entry = router.neighbors.get(route.next_hop)
-            if entry is None or now - entry.last_hello_at > router.timers.hold_time:
+            if entry is None or (
+                not entry.peer_alive and now - entry.last_hello_at > router.timers.hold_time
+            ):
                 return None
         if route.next_hop in visited:
             return None

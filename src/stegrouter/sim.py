@@ -255,8 +255,14 @@ class Platform:
         self._next_id = 0
         self._last_sample_t = 0.0
         # Bits sent in the current sampling window, per steg-link and by
-        # discovery walks.
+        # discovery walks.  The hellos of a live link are not in
+        # `_win_link_bits` until `_flush_hellos` adds them.
         self._win_link_bits: dict[tuple[AgentId, AgentId], int] = {}
+        # Hello beacons per alive steg agent since it joined, and for each
+        # live link (both ends alive and vouched for) the beacons of its
+        # two ends already counted: before it formed, or flushed.
+        self._beacons: dict[AgentId, int] = {}
+        self._hellos_counted: dict[tuple[AgentId, AgentId], int] = {}
         self._win_walk_bits = 0
         self._totals = {kind.value: [0, 0] for kind in MessageKind}
 
@@ -287,6 +293,7 @@ class Platform:
         self._alive.append(agent_id)
         if caps:
             self._mask[agent_id] = sum(self._bit[m] for m in caps)
+            self._beacons[agent_id] = 0
             self.routers[agent_id] = StegRouter(
                 agent_id,
                 caps,
@@ -302,7 +309,18 @@ class Platform:
         if agent_id not in self._alive:
             return
         self._alive.remove(agent_id)
-        self.routers.pop(agent_id, None)
+        router = self.routers.pop(agent_id, None)
+        if router is not None:
+            # Each live link is now a link to a departed peer: its hellos so
+            # far go into the window, and the survivor's entry ages from the
+            # departed agent's final beacon, which it would have received.
+            self._flush_hellos()
+            for peer, entry in router.neighbors.items():
+                if entry.peer_alive:
+                    key = (agent_id, peer) if agent_id < peer else (peer, agent_id)
+                    del self._hellos_counted[key]
+                    self.routers[peer].unvouch(agent_id, router.last_beacon)
+            del self._beacons[agent_id]
         self._population_version += 1
         self._ever_removed = True
 
@@ -392,6 +410,27 @@ class Platform:
         if self._trace is not None:
             self._trace(self.kernel.now, "discovery", originator, holder, hops, nbytes)
 
+    def _flush_hellos(self) -> None:
+        """Add to the window bits the hellos each live link carried since
+        its last flush: every beacon of either end crossed it once."""
+        beacons = self._beacons
+        counted = self._hellos_counted
+        win = self._win_link_bits
+        hello_bits = 8 * self.config.sizes.hello
+        for key, done in counted.items():
+            total = beacons[key[0]] + beacons[key[1]]
+            if total != done:
+                win[key] = win.get(key, 0) + hello_bits * (total - done)
+                counted[key] = total
+
+    def _link_formed(self, a: AgentId, b: AgentId) -> None:
+        """Vouch for both ends of a steg-link formed between two alive
+        agents; its hellos are counted from here on."""
+        self.routers[a].vouch(b)
+        self.routers[b].vouch(a)
+        key = (a, b) if a < b else (b, a)
+        self._hellos_counted[key] = self._beacons[a] + self._beacons[b]
+
     def _deliver_update(self, batch: UpdateBatch, recipient: AgentId, now: float) -> None:
         """Account the message of `batch` addressed to `recipient`, then
         have the recipient apply it if it is still alive."""
@@ -404,15 +443,32 @@ class Platform:
     # -- event handlers ---------------------------------------------------------
 
     def _on_hello(self, agent_id: AgentId, now: float) -> None:
+        """One beacon: a hello to every Up neighbor.  A vouched neighbor
+        needs no delivery and its link's bits are counted at the next
+        flush; a hello to any other neighbor (one that departed, or a link
+        formed outside walk delivery) is delivered and counted singly."""
         router = self.routers.get(agent_id)
         if router is None:
             return
+        up = router.hello_tick(now)
         hello_bytes = self.config.sizes.hello
-        for neighbor in router.hello_tick(now):
-            self._send("hello", agent_id, neighbor, hello_bytes)
-            peer = self.routers.get(neighbor)
-            if peer is not None:
-                peer.receive_hello(agent_id, now)
+        totals = self._totals["hello"]
+        totals[0] += len(up)
+        totals[1] += len(up) * hello_bytes
+        self._beacons[agent_id] += 1
+        trace = self._trace
+        if len(up) != router.vouched or trace is not None:
+            neighbors = router.neighbors
+            win = self._win_link_bits
+            for neighbor in up:
+                if trace is not None:
+                    trace(now, "hello", agent_id, neighbor, 1, hello_bytes)
+                if not neighbors[neighbor].peer_alive:
+                    key = (agent_id, neighbor) if agent_id < neighbor else (neighbor, agent_id)
+                    win[key] = win.get(key, 0) + hello_bytes * 8
+                    peer = self.routers.get(neighbor)
+                    if peer is not None:
+                        peer.receive_hello(agent_id, now)
         self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
 
     def _on_update(self, agent_id: AgentId, now: float) -> None:
@@ -453,6 +509,7 @@ class Platform:
         # fresh covert channel, then both sides swap full tables.
         self._send("discovery", holder, originator, self.config.sizes.discovery)
         origin.ingest_discovery(holder, receiver.capabilities, now)
+        self._link_formed(holder, originator)
         for router, dest in ((receiver, originator), (origin, holder)):
             batch = router.build_update(now)
             if batch is not None:
@@ -505,6 +562,7 @@ class Platform:
         disconnected in the steg-link graph are unroutable by construction
         and excluded, and the level is vacuously 1.0 when no pair is
         reachable.  The all-pairs level uses every ordered alive-SA pair."""
+        self._flush_hellos()
         topo = self._current_topology()
         window = now - self._last_sample_t
         routed = self._routed_pairs()

@@ -15,6 +15,7 @@ import sys
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
 from stegrouter.router import RouteEntry, RouterTimers, StegRouter
+from stegrouter.sim import Platform, _Ev
 
 DEFAULT_TABLE = method_table(DEFAULT_METHODS)
 
@@ -110,6 +111,29 @@ def reference_process_update(router, batch, now):
         del routes[dest]
         log.append(dest)
     return len(log) != version
+
+
+class ReferencePlatform(Platform):
+    """The platform with every hello sent as its own message: no link is
+    vouched for, so each Up neighbor's entry is refreshed by
+    `receive_hello` and each hello is accounted by `_send`.  The
+    specification that `Platform`, which accounts a hello beacon once per
+    tick, must match byte for byte."""
+
+    def _link_formed(self, a, b):
+        pass
+
+    def _on_hello(self, agent_id, now):
+        router = self.routers.get(agent_id)
+        if router is None:
+            return
+        hello_bytes = self.config.sizes.hello
+        for neighbor in router.hello_tick(now):
+            self._send("hello", agent_id, neighbor, hello_bytes)
+            peer = self.routers.get(neighbor)
+            if peer is not None:
+                peer.receive_hello(agent_id, now)
+        self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
 
 
 def converge(capabilities, profiles=DEFAULT_TABLE, hop_limit=32):

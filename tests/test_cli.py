@@ -193,6 +193,21 @@ class TestSimulate:
         for spec in ("", ",", "5..3", "1..9:0", "1..x"):
             assert run_cli(*self.small_args(tmp_path, "--seeds", spec)) == 2
 
+    @pytest.mark.parametrize("workers", ["0", "-3", "two"])
+    def test_non_positive_workers_is_a_usage_error(self, tmp_path, capsys, workers):
+        with pytest.raises(SystemExit) as info:
+            run_cli(*self.small_args(tmp_path, "--seeds", "1", "--workers", workers))
+        assert info.value.code == 1
+        assert "--workers" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("spec, seed", [("1,1", 1), ("1..3,2", 2)])
+    def test_duplicate_seed_is_rejected(self, tmp_path, capsys, spec, seed):
+        # a repeated seed would run twice and count twice in `report`
+        assert run_cli(*self.small_args(tmp_path, "--seeds", spec)) == 2
+        assert f"seed {seed} appears more than once" in capsys.readouterr().err
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_stepped_seed_range(self, tmp_path):
         # --seeds takes the same grid syntax as the entropy grids
         assert run_cli(*self.small_args(tmp_path, "--seeds", "1..5:2")) == 0

@@ -1,6 +1,8 @@
 """Golden digests: the report bytes of a fixed config panel must not move.
 
-Each digest is the SHA-256 of `"\\n".join(run_report_lines(run(cfg)))`.
+Each report digest is the SHA-256 of `"\\n".join(run_report_lines(run(cfg)))`.
+Each trace digest is the SHA-256 of every `TraceFn` call of `run(cfg, trace)`,
+one `repr` of its argument tuple per line, so the order of the calls counts.
 A change to the simulator that is meant to keep its behaviour (a speed-up,
 a refactor) must leave every digest as it is.  A change that moves the
 bytes on purpose updates the digests here and names the change in
@@ -44,3 +46,27 @@ def test_report_digest_is_pinned(name):
     cfg, expected = GOLDEN[name]
     text = "\n".join(run_report_lines(run(cfg)))
     assert hashlib.sha256(text.encode()).hexdigest() == expected
+
+
+TRACE_GOLDEN = {
+    "n250-seed1": (
+        SimConfig(seed=1),
+        "78c643f96bdd5c3104227730227e8f71698dcd1cbd96bf34d36455a06324673d",
+    ),
+    "n250-churn-seed1": (
+        SimConfig(migration_rate=1 / 60, seed=1),
+        "e3fcad85c4a64590c622d61feb883365c84436a969dabd3f41596e00d4772aff",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TRACE_GOLDEN))
+def test_trace_digest_is_pinned(name):
+    cfg, expected = TRACE_GOLDEN[name]
+    digest = hashlib.sha256()
+
+    def trace(*row):
+        digest.update(repr(row).encode() + b"\n")
+
+    run(cfg, trace=trace)
+    assert digest.hexdigest() == expected

@@ -249,6 +249,13 @@ class TestNeighborLifecycle:
             r.receive_hello(2, t)
         assert set(r.up_neighbors(22.0)) == {2}
 
+    def test_late_hello_never_moves_last_heard_back(self):
+        r = fresh_router(1)
+        r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
+        r.receive_hello(2, 10.0)
+        r.receive_hello(2, 4.0)
+        assert r.neighbors[2].last_hello_at == 10.0
+
     def test_silent_neighbor_expires(self):
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)

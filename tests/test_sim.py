@@ -351,17 +351,33 @@ class TestMeters:
         return Platform(SimConfig(n_agents=20, duration=60.0, methods=TEXT_ONLY,
                                   seed=1))
 
-    def test_hello_stream_usage(self):
-        # one 32-byte hello each way per 5 s on an 80 bit/s link:
-        # 512 bits / (80 bit/s * 10 s) = 0.64, below saturation
-        platform = self.make_two_sa_platform()
+    def hello_only_window(self, hello_interval):
+        # the link forms through walk delivery at t=0 (reply and tables go
+        # into the first window); with no later walk and no periodic update
+        # before t=20, the window (10, 20] carries hellos and nothing else
+        cfg = SimConfig(n_agents=20, duration=20.0, methods=TEXT_ONLY, seed=1,
+                        discovery_interval=1e9,
+                        timers=RouterTimers(hello_interval, 3 * hello_interval, 1e6))
+        platform = Platform(cfg)
         a, b = sorted(platform.routers)
-        platform._send("hello", a, b, 32)
-        platform._send("hello", b, a, 32)
-        f = platform._measure(10.0)
+        platform._on_walk_deliver(b, (a, 0), 0.0)
+        platform.run_until(20.0)
+        return platform.frames[1]
+
+    def test_hello_stream_usage(self):
+        # one 32-byte hello each way per 10 s on an 80 bit/s link:
+        # 512 bits / (80 bit/s * 10 s) = 0.64, below saturation
+        f = self.hello_only_window(10.0)
         assert f.capacity_usage == 0.64
         assert f.saturated_link_fraction == 0.0
         assert f.routing_overhead_per_link_bps == 51.2
+
+    def test_hellos_alone_saturate_text_link(self):
+        # every 5 s: two hellos each way in 10 s, 1024 bits against 800
+        f = self.hello_only_window(5.0)
+        assert f.capacity_usage == 1.28
+        assert f.saturated_link_fraction == 1.0
+        assert f.routing_overhead_per_link_bps == 102.4
 
     def test_full_table_saturates_text_link(self):
         # a 100-row update is 2416 bytes; against 80 bit/s * 30 s = 2400 bits
