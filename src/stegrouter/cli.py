@@ -360,12 +360,23 @@ def _read_summary_rows(input_dir: str) -> list[dict]:
     if not directory.is_dir():
         raise ConfigError(f"not a directory: {input_dir}")
     rows: list[dict] = []
+    # (scenario, seed) -> the file its run was first read from
+    sources: dict[tuple, Path] = {}
     for path in sorted(directory.glob("*.csv")):
         with open(path, newline="") as handle:
             reader = csv.DictReader(handle)
             if reader.fieldnames is None or not set(SUMMARY_CSV_COLUMNS) <= set(reader.fieldnames):
                 continue
-            rows.extend(reader)
+            for row in reader:
+                run = tuple(row[k] for k in _SCENARIO_KEY) + (row["seed"],)
+                if run in sources:
+                    scenario = ", ".join(f"{k}={row[k]}" for k in _SCENARIO_KEY)
+                    raise ConfigError(
+                        f"seed {row['seed']} of scenario {scenario} appears in both "
+                        f"{sources[run]} and {path}; each run must be counted once"
+                    )
+                sources[run] = path
+                rows.append(row)
     if not rows:
         raise ConfigError(f"no summary rows found under {input_dir}")
     return rows

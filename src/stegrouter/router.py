@@ -32,12 +32,24 @@ log only grows together with the table version, so its length at the
 last processed table marks where "since then" starts.  A first contact,
 a re-formed link or a table older than the last one processed is applied
 in full.
+
+The sender-side part of that work is done once per batch.  Extending the
+sender's rows by a link depends on nothing of the receiver but where its
+slice of the change log starts (its last processed sender version), the
+link's one-hop key and the hop limit: the batch fixes the rows and the end
+of the slice.  So a batch keeps, per distinct (version, link key, hop
+limit), the extended candidates of the destinations in that slice, and
+every receiver sharing the three reuses them; on a near-clique almost all
+links share one key.  What stays per receiver is only what depends on it:
+skipping its own id, split horizon, the adopt/overwrite/withdraw rule, and
+the destinations of its own loss log, extended on their own.  The router
+also keeps its number of routes per next hop as the table changes, so an
+emission copies the split-horizon group sizes instead of counting them.
 """
 from __future__ import annotations
 
 import math
-from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import AgentId, StegMethodId, StegMethodProfile
@@ -110,14 +122,20 @@ class UpdateBatch:
     to neighbor X skips the routes whose next hop is X (split horizon).
     `log` is the sender's change log, read only up to `sender_version`,
     its length when the batch was built, which keeps the batch a snapshot.
+
+    `extended` is the one mutable part: a memo of `_extend` results for the
+    change-log slices its receivers apply, keyed by (slice start, link key,
+    hop limit).  It belongs to this batch alone, is dropped with it, and is
+    left out of equality.
     """
 
     sender: AgentId
     sender_version: int
     routes: dict[AgentId, RouteEntry]
-    group_sizes: Counter  # routes per sender next hop
+    group_sizes: dict[AgentId, int]  # routes per sender next hop
     recipients: tuple[AgentId, ...]
     log: list[AgentId]
+    extended: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def self_row(self) -> Row:
@@ -134,6 +152,41 @@ class UpdateBatch:
 
     def row_count_for(self, receiver: AgentId) -> int:
         return 1 + len(self.routes) - self.group_sizes.get(receiver, 0)
+
+
+def _extend(
+    batch: UpdateBatch, dests: Iterable[AgentId], link_key: Key, hop_limit: int
+) -> dict[AgentId, tuple[Optional[AgentId], Optional[Key]]]:
+    """The sender's candidate for each destination as a receiver over a
+    link with `link_key` sees it: dest -> (the sender's next hop, or None
+    for its self row and for rows it does not have; the key extended by
+    the link, or None when the sender does not advertise the destination
+    or the path would exceed the hop limit).  Split horizon depends on the
+    receiver and is left to it."""
+    neg_link_bw, link_delay, link_rank, _ = link_key
+    sender = batch.sender
+    sent = batch.routes
+    # The sender's self row (infinite bandwidth, no delay, rank 0, 0 hops)
+    # extended by the link.
+    self_key = (neg_link_bw, 0.0 + link_delay, link_rank, 1)
+    extended = {}
+    for dest in dests:
+        found = sent.get(dest)
+        if found is None:
+            extended[dest] = (None, self_key if dest == sender else None)
+            continue
+        neg_bw, delay, rank, hops = found.key
+        if hops < hop_limit:
+            key = (
+                neg_bw if neg_bw > neg_link_bw else neg_link_bw,
+                delay + link_delay,
+                rank if rank > link_rank else link_rank,
+                hops + 1,
+            )
+        else:
+            key = None
+        extended[dest] = (found.next_hop, key)
+    return extended
 
 
 class StegRouter:
@@ -165,6 +218,8 @@ class StegRouter:
         # sender -> (sender table version, own loss log length) right after
         # a table from that sender was last processed.
         self._processed: dict[AgentId, tuple[int, int]] = {}
+        # next hop -> number of routes through it (entries may be zero)
+        self._via: dict[AgentId, int] = {}
 
     @property
     def table_version(self) -> int:
@@ -277,6 +332,8 @@ class StegRouter:
             ]
             for dest in stale:
                 del self.routes[dest]
+            for nid in expired:
+                self._via.pop(nid, None)
             self._log.extend(stale)
             self._lost.extend(stale)
         return expired
@@ -290,12 +347,11 @@ class StegRouter:
         recipients = tuple(self.up_neighbors(now))
         if not recipients:
             return None
-        routes = dict(self.routes)
         return UpdateBatch(
             sender=self.agent_id,
             sender_version=len(self._log),
-            routes=routes,
-            group_sizes=Counter(route.next_hop for route in routes.values()),
+            routes=dict(self.routes),
+            group_sizes=dict(self._via),
             recipients=recipients,
             log=self._log,
         )
@@ -321,44 +377,37 @@ class StegRouter:
         ):
             return False
         routes = self.routes
-        sent = batch.routes
-        seen = self._processed.get(sender)
-        if seen is None or batch.sender_version < seen[0]:
-            candidates = set(sent)
-            candidates.add(sender)
-            candidates.update(
-                dest for dest, route in routes.items() if route.next_hop == sender
-            )
-        else:
-            candidates = set(batch.log[seen[0] : batch.sender_version])
-            candidates.update(self._lost[seen[1] :])
-        me = self.agent_id
-        candidates.discard(me)
-
-        neg_link_bw, link_delay, link_rank, _ = entry.link_key
-        # The sender's self row (infinite bandwidth, no delay, rank 0, 0
-        # hops) extended by the link.
-        self_key = (neg_link_bw, 0.0 + link_delay, link_rank, 1)
-        method = entry.best_method
-        hop_limit = self.hop_limit
         log = self._log
         lost = self._lost
-        changed = False
-        for dest in candidates:
-            current = routes.get(dest)
-            found = sent.get(dest)
-            if found is None:
-                key = self_key if dest == sender else None
-            elif found.next_hop != me and found.key[3] < hop_limit:
-                neg_bw, delay, rank, hops = found.key
-                key = (
-                    neg_bw if neg_bw > neg_link_bw else neg_link_bw,
-                    delay + link_delay,
-                    rank if rank > link_rank else link_rank,
-                    hops + 1,
+        via = self._via
+        link_key = entry.link_key
+        hop_limit = self.hop_limit
+        seen = self._processed.get(sender)
+        if seen is None or batch.sender_version < seen[0]:
+            dests = list(batch.routes)
+            dests.append(sender)
+            if via.get(sender):
+                dests.extend(dest for dest, route in routes.items() if route.next_hop == sender)
+            extended = _extend(batch, dests, link_key, hop_limit)
+        else:
+            memo_key = (seen[0], link_key, hop_limit)
+            extended = batch.extended.get(memo_key)
+            if extended is None:
+                extended = batch.extended[memo_key] = _extend(
+                    batch, batch.log[seen[0] : batch.sender_version], link_key, hop_limit
                 )
-            else:
+            if len(lost) > seen[1]:
+                extended = {**extended, **_extend(batch, lost[seen[1] :], link_key, hop_limit)}
+
+        me = self.agent_id
+        method = entry.best_method
+        changed = False
+        for dest, (next_hop, key) in extended.items():
+            if dest == me:
+                continue
+            if next_hop == me:
                 key = None
+            current = routes.get(dest)
             if key is not None:
                 if current is None:
                     adopt = True
@@ -371,11 +420,16 @@ class StegRouter:
                     cur_key = current.key
                     adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
                 if adopt:
+                    if current is None or current.next_hop != sender:
+                        if current is not None:
+                            via[current.next_hop] -= 1
+                        via[sender] = via.get(sender, 0) + 1
                     routes[dest] = RouteEntry(sender, key, method)
                     log.append(dest)
                     changed = True
             elif current is not None and current.next_hop == sender:
                 del routes[dest]
+                via[sender] -= 1
                 log.append(dest)
                 lost.append(dest)
                 changed = True

@@ -11,6 +11,7 @@ import random
 import re
 import subprocess
 import sys
+from collections import Counter
 
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
@@ -63,7 +64,8 @@ def reference_process_update(router, batch, now):
     every call: the specification that `StegRouter.process_update` must
     match step for step.  Changes the routes as that method does, appends
     each changed destination to the change log so that the table versions
-    compare, and returns whether the table changed."""
+    compare, recounts the routes per next hop, and returns whether the
+    table changed."""
     sender = batch.sender
     entry = router.neighbors.get(sender)
     if entry is None or now - entry.last_hello_at > router.timers.hold_time:
@@ -110,6 +112,9 @@ def reference_process_update(router, batch, now):
     for dest in withdrawn:
         del routes[dest]
         log.append(dest)
+    # the per-next-hop route counts that build_update and expire_check read,
+    # recounted from the routes
+    router._via = dict(Counter(route.next_hop for route in routes.values()))
     return len(log) != version
 
 

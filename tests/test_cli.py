@@ -267,7 +267,7 @@ class TestEntropy:
 
 
 class TestReport:
-    def write_summary(self, directory, scenario, rows):
+    def write_summary(self, directory, scenario, rows, name=None):
         directory.mkdir(parents=True, exist_ok=True)
         n, sa, pf, m = scenario
         csv_rows = []
@@ -281,7 +281,7 @@ class TestReport:
                 "mean_saturation": "0.0",
                 "convergence_time_min": "" if conv_min is None else str(conv_min),
             })
-        write_summary_csv(csv_rows, str(directory / f"n{n}-summary.csv"))
+        write_summary_csv(csv_rows, str(directory / (name or f"n{n}-summary.csv")))
 
     def test_aggregates_by_scenario(self, tmp_path, capsys):
         self.write_summary(tmp_path, (250, 0.1, 0.75, 0.0),
@@ -322,3 +322,17 @@ class TestReport:
     def test_directory_without_summaries(self, tmp_path):
         (tmp_path / "noise.csv").write_text("a,b\n1,2\n")
         assert run_cli("report", str(tmp_path)) == 2
+
+    def test_duplicate_run_across_files_is_rejected(self, tmp_path, capsys):
+        # two sweeps of one scenario written into one directory: seed 2 is
+        # in both, and counting it twice would shrink the CI
+        scenario = (30, 0.1, 0.75, 0.0)
+        self.write_summary(tmp_path, scenario, [(1, 5.0), (2, 6.0)], name="a-summary.csv")
+        self.write_summary(tmp_path, scenario, [(2, 6.0), (3, 7.0)], name="b-summary.csv")
+        assert run_cli("report", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        message = captured.err
+        assert "seed 2" in message
+        assert "n_agents=30, sa_fraction=0.1, p_f=0.75, migration_rate=0.0" in message
+        assert "a-summary.csv" in message and "b-summary.csv" in message

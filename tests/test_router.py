@@ -51,6 +51,7 @@ def route_heard(adverts, order=None):
         receiver.ingest_discovery(sender_id, sender.capabilities, 0.0)
         bw, delay, rank, hops = adverts[sender_id]
         sender.routes[9] = RouteEntry(8, (-bw, delay, rank, hops), "internet")
+        sender._via[8] = 1  # the route count that build_update copies
         receiver.process_update(sender.build_update(0.0), 0.0)
     return receiver.routes[9]
 

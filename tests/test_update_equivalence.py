@@ -7,7 +7,10 @@ can have changed since the sender's last processed table; the other
 applies `harness.reference_process_update`, the full-table rule, to every
 row of every batch.  After each step both copies must hold the same
 routes (next hop, key, method), the same table versions, and every
-call must have returned the same value.
+call must have returned the same value.  In both copies each router's
+kept count of routes per next hop must also equal a count made from
+scratch, and every message of every batch built must have as many rows
+as `row_count_for` says.
 
 Steps cover what the simulator does and the orders it never produces:
 periodic emission to all Up neighbors or to one of them, a past batch
@@ -16,6 +19,8 @@ passing with hellos that skip silenced links, silent neighbor loss
 followed by expiry checks, and (re-)discovery of a pair after its link
 expired.
 """
+
+from collections import Counter
 
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -117,6 +122,16 @@ class Network:
             routers[second].ingest_discovery(first, routers[first].capabilities, self.now),
         ]
 
+    def check_counts(self, batches_before):
+        """The kept route counts per next hop match the routes, and the
+        batches built since `batches_before` count their rows right."""
+        for router in self.routers.values():
+            kept = {hop: count for hop, count in router._via.items() if count}
+            assert kept == Counter(route.next_hop for route in router.routes.values())
+        for batch in self.history[batches_before:]:
+            for recipient in batch.recipients:
+                assert batch.row_count_for(recipient) == len(list(batch.rows_for(recipient)))
+
     def state(self):
         return {
             agent_id: (
@@ -172,6 +187,20 @@ def incremental(router, batch, now):
     32,
     [("lose", 32, 1), ("emit", 60, 39), ("emit", 4, 15), ("emit", 5, 53)],
 ))
+# One emission from 0 reaches 2 over audio and 4 over image, so its batch
+# extends its rows for two link keys; then an older batch from 0 is
+# delivered to 2 again, which applies it in full and moves 2's last
+# processed version of 0 back, and the newer batch is delivered to 2 once
+# more: 2 must extend the longer change-log slice, not reuse the shorter
+# one the batch already extended for the same link key.
+@example((
+    method_table(DEFAULT_METHODS),
+    {0: frozenset({"audio", "image"}), 1: frozenset({"text"}),
+     2: frozenset({"text", "audio"}), 3: frozenset({"text"}), 4: frozenset({"image"})},
+    32,
+    [("lose", 39, 21), ("emit", 10, 0), ("redeliver", 48, 10), ("emit", 19, 57),
+     ("redeliver", 15, 2)],
+))
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 def test_incremental_matches_full_table_rule(scenario):
@@ -182,6 +211,9 @@ def test_incremental_matches_full_table_rule(scenario):
     # that hold multi-hop routes
     warm_up = [("emit", i, 0) for i in range(len(capabilities))] * 3
     for number, (kind, a, b) in enumerate(warm_up + steps):
+        built = len(fast.history)
         returned = fast.step(kind, a, b)
         assert returned == full.step(kind, a, b), (number, kind)
         assert fast.state() == full.state(), (number, kind)
+        fast.check_counts(built)
+        full.check_counts(built)
