@@ -19,12 +19,10 @@ import io
 import math
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy import stats as scipy_stats
 
 from .anonymity import (
     AdversaryScenario,
@@ -254,6 +252,8 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
         jobs.append((mapping, str(out_dir / f"{label}-seed{seed}.jsonl")))
 
     if args.workers > 1 and len(jobs) > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=args.workers) as pool:
             results = list(pool.map(_run_one, jobs))
     else:
@@ -383,6 +383,10 @@ def _read_summary_rows(input_dir: str) -> list[dict]:
 
 
 def _mean_ci_quantiles(values: Sequence[float]) -> tuple[float, float, float, float, float, bool]:
+    # scipy is imported here, not at module level, so that `simulate`
+    # never pays for it: only `report` needs the Student-t quantile.
+    from scipy import stats as scipy_stats
+
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if arr.size < 2:

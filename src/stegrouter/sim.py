@@ -19,13 +19,12 @@ import os
 import random
 import tempfile
 import typing
+from collections import Counter
 from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import IntEnum
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from .core import (
     AgentId,
@@ -37,7 +36,7 @@ from .core import (
     derive_capabilities,
     method_table,
 )
-from .router import RouterTimers, StegRouter, UpdateBatch, best_method_on_link
+from .router import RouterTimers, StegRouter, UpdateBatch
 from .walk import run_walk
 
 
@@ -629,12 +628,22 @@ def _first_sustained_full(frames: Sequence[MetricsFrame]) -> Optional[float]:
 def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) -> np.ndarray:
     """Bandwidth of the best method on a link for every capability-
     intersection bitmask, bit i standing for the i-th profile; index 0 (no
-    shared method) maps to 0.0."""
-    ids = list(profiles)
-    table = np.zeros(1 << len(ids), dtype=np.float64)
-    for mask in range(1, 1 << len(ids)):
-        shared = [m for i, m in enumerate(ids) if mask >> i & 1]
-        table[mask] = profiles[best_method_on_link(shared, profiles)].bandwidth_bps
+    shared method) maps to 0.0.
+
+    The best method of a mask is the better of the best method of the mask
+    without its lowest bit and the method of that bit.  Preference ranks
+    are unique, so the one-hop key is a total order and this recurrence
+    picks the method that `best_method_on_link` picks on the mask's
+    methods, at one comparison per mask."""
+    keys = [(-p.bandwidth_bps, p.delay_s, p.preference_rank) for p in profiles.values()]
+    best = [0] * (1 << len(keys))  # mask -> index of its best method
+    for mask in range(1, 1 << len(keys)):
+        low = (mask & -mask).bit_length() - 1
+        rest = mask & (mask - 1)
+        best[mask] = low if rest == 0 or keys[low] < keys[best[rest]] else best[rest]
+    bandwidth = [p.bandwidth_bps for p in profiles.values()]
+    table = np.array([bandwidth[i] for i in best], dtype=np.float64)
+    table[0] = 0.0
     return table
 
 
@@ -643,6 +652,15 @@ def _build_topology(
     mask: Mapping[AgentId, int],
     bw_by_mask: np.ndarray,
 ) -> _Topology:
+    """Link count, summed best-link bandwidth and ordered connected SA
+    pairs of the alive population.
+
+    Two SAs share a steg-link exactly when their capability masks share a
+    bit, so all SAs that hold one method are linked pairwise.  Every
+    connected component is therefore a union of methods, joined by the SAs
+    that hold several of them, and the components are found by merging
+    the distinct masks (at most 2^16, usually a few dozen) instead of the
+    SAs.  A component of k SAs has k*(k-1) ordered connected pairs."""
     n = len(alive_sas)
     if n < 2:
         return _Topology(0, 0.0, 0)
@@ -654,10 +672,16 @@ def _build_topology(
     exists = upper != 0
     n_links = int(exists.sum())
     sum_best_bw = float(bw_by_mask[upper].sum())
-    graph = csr_matrix((pair != 0).astype(np.int8))
-    n_comp, labels = connected_components(graph, directed=False)
-    sizes = np.bincount(labels, minlength=n_comp)
-    connected_pairs = int((sizes * (sizes - 1)).sum())
+
+    # union of a component's methods -> alive SAs in it; the keys stay
+    # disjoint, so a mask joins exactly the components it shares a bit with
+    sizes: dict[int, int] = {}
+    for m, count in Counter(masks.tolist()).items():
+        for methods in [c for c in sizes if c & m]:
+            m |= methods
+            count += sizes.pop(methods)
+        sizes[m] = count
+    connected_pairs = sum(k * (k - 1) for k in sizes.values())
     return _Topology(n_links, sum_best_bw, connected_pairs)
 
 

@@ -183,9 +183,9 @@ def dyadic_delay_methods(seed):
 _ORIGIN_LINE = "import sys, stegrouter\nsys.stdout.write(stegrouter.__file__ + '\\n')\n"
 
 
-def digest_under_hash_seed(script, hashseed):
-    """Run `script` in a fresh interpreter under PYTHONHASHSEED=`hashseed`
-    and return the SHA-256 hex digest it writes to stdout.
+def run_in_child(script, hashseed="0"):
+    """Run `script` in a fresh interpreter under PYTHONHASHSEED=`hashseed`,
+    check that it exited 0, and return what it wrote to stdout.
 
     The directory holding the `stegrouter` this process imported goes first
     on the child's PYTHONPATH, so the check needs no pip install, and the
@@ -201,10 +201,18 @@ def digest_under_hash_seed(script, hashseed):
     )
     assert proc.returncode == 0, (
         f"child under PYTHONHASHSEED={hashseed} exited {proc.returncode}:\n{proc.stderr}")
-    origin, _, digest = proc.stdout.partition("\n")
+    origin, _, out = proc.stdout.partition("\n")
     assert os.path.realpath(origin) == os.path.realpath(stegrouter.__file__), (
         f"child under PYTHONHASHSEED={hashseed} imported {origin!r}, "
         f"not {stegrouter.__file__!r}")
+    return out
+
+
+def digest_under_hash_seed(script, hashseed):
+    """Run `script` in a fresh interpreter (see `run_in_child`) under
+    PYTHONHASHSEED=`hashseed` and return the SHA-256 hex digest it writes
+    to stdout."""
+    digest = run_in_child(script, hashseed)
     assert re.fullmatch(r"[0-9a-f]{64}", digest), (
         f"child under PYTHONHASHSEED={hashseed} wrote {digest!r}, not a SHA-256 hex digest")
     return digest

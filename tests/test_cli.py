@@ -10,6 +10,8 @@ import pytest
 from stegrouter.cli import PRESETS, REPORT_CSV_COLUMNS, _SECTION_KEYS, _load_config_file, main
 from stegrouter.sim import SUMMARY_CSV_COLUMNS, SimConfig, write_summary_csv
 
+from harness import run_in_child
+
 
 def run_cli(*argv):
     return main(list(argv))
@@ -336,3 +338,76 @@ class TestReport:
         assert "seed 2" in message
         assert "n_agents=30, sa_fraction=0.1, p_f=0.75, migration_rate=0.0" in message
         assert "a-summary.csv" in message and "b-summary.csv" in message
+
+    # Two summary CSVs holding three scenarios: one with four converged runs
+    # and one unconverged run, one with a single converged run (degenerate
+    # CI), and one with no converged run at all.
+    PINNED_INPUT = {
+        "n250-summary.csv": (
+            "seed,n_agents,sa_fraction,p_f,migration_rate,convergence_time_s,"
+            "undiscovered_fraction,mean_overhead_bps,mean_capacity_usage,"
+            "mean_saturation,convergence_time_min\n"
+            "1,250,0.1,0.75,0.0,300,0.0,412.5,0.0005,0.0,5\n"
+            "2,250,0.1,0.75,0.0,390,0.0,398.25,0.0005,0.0,6.5\n"
+            "3,250,0.1,0.75,0.0,435,0.0,405,0.0005,0.0,7.25\n"
+            "4,250,0.1,0.75,0.0,660,0.0,431.125,0.0005,0.0,11\n"
+            "5,250,0.1,0.75,0.0,,0.2,388,0.0005,0.0,\n"
+        ),
+        "n500-summary.csv": (
+            "seed,n_agents,sa_fraction,p_f,migration_rate,convergence_time_s,"
+            "undiscovered_fraction,mean_overhead_bps,mean_capacity_usage,"
+            "mean_saturation,convergence_time_min\n"
+            "1,500,0.1,0.75,0.0,540,0.0,402,0.0005,0.0,9\n"
+            "1,500,0.1,0.75,0.0166667,,0.125,377.5,0.0005,0.0,\n"
+            "2,500,0.1,0.75,0.0166667,,0.25,380.5,0.0005,0.0,\n"
+        ),
+    }
+    # The first scenario's 95% CI is mean -/+ t(0.975, 3) * sd / sqrt(4)
+    # = 7.4375 -/+ 3.182446 * 2.552572 / 2.
+    PINNED_OUTPUT = (
+        "n_agents,sa_fraction,p_f,migration_rate,runs,converged,"
+        "convergence_time_min_mean,convergence_time_min_ci95_low,"
+        "convergence_time_min_ci95_high,convergence_time_min_q25,"
+        "convergence_time_min_q75,undiscovered_fraction_mean,mean_overhead_bps,"
+        "ci_degenerate\n"
+        "250,0.1,0.75,0.0,5,4,7.4375,3.37579,11.4992,6.125,8.1875,0.04,406.975,false\n"
+        "500,0.1,0.75,0.0,1,1,9,9,9,9,9,0,402,true\n"
+        "500,0.1,0.75,0.0166667,2,0,,,,,,0.1875,379,\n"
+    )
+
+    def test_output_bytes_are_pinned(self, tmp_path):
+        for name, text in self.PINNED_INPUT.items():
+            (tmp_path / name).write_text(text)
+        out = tmp_path / "out" / "report.csv"
+        out.parent.mkdir()
+        assert run_cli("report", str(tmp_path), "--output", str(out)) == 0
+        assert out.read_bytes() == self.PINNED_OUTPUT.encode()
+
+
+class TestImportPath:
+    def test_simulate_imports_no_scipy(self, tmp_path):
+        # scipy's import alone costs more than a short simulate run; only
+        # `report` may pull it in, for its Student-t quantile
+        out = run_in_child(
+            "import json\n"
+            "from stegrouter import cli\n"
+            "def scipy_modules():\n"
+            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+            "code = cli.main(['simulate', '--set', 'n_agents=30', '--set', 'duration=60',\n"
+            f"                 '--output-dir', {str(tmp_path)!r}])\n"
+            "after_simulate = scipy_modules()\n"
+            "cli._mean_ci_quantiles([5.0, 7.0])\n"
+            "print(json.dumps([code, after_simulate, 'scipy.stats' in scipy_modules()]))\n"
+        )
+        code, after_simulate, ci_loads_scipy = json.loads(out.splitlines()[-1])
+        assert code == 0
+        assert after_simulate == []
+        assert ci_loads_scipy  # the probe does see scipy once it is imported
+
+        out = run_in_child(
+            "from stegrouter import cli\n"
+            f"sys.exit(cli.main(['report', {str(tmp_path)!r}]))\n"
+        )
+        header, row = out.splitlines()
+        assert header == ",".join(REPORT_CSV_COLUMNS)
+        assert row.startswith("30,0.1,0.75,0,1,")

@@ -5,17 +5,23 @@ import dataclasses
 import hashlib
 import json
 import math
+import random
 
+import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
-from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile
-from stegrouter.router import RouterTimers
+from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
+from stegrouter.router import RouterTimers, best_method_on_link
 from stegrouter.sim import (
     SUMMARY_CSV_COLUMNS,
     ConfigError,
     MetricsFrame,
     Platform,
     SimConfig,
+    _best_bandwidth_by_mask,
+    _build_topology,
     _first_sustained_full,
     run,
     run_report_lines,
@@ -407,6 +413,70 @@ class TestMeters:
         slow, fast = reports[1], reports[0]
         ratio = slow.totals["routing_update"]["bytes"] / fast.totals["routing_update"]["bytes"]
         assert 0.35 < ratio < 0.65
+
+
+@st.composite
+def sa_populations(draw):
+    """A catalogue width and the capability masks of 0-40 alive SAs; about
+    half the SAs hold a single method, and the masks of the rest are drawn
+    freely, so some share no bit with any other SA."""
+    width = draw(st.integers(1, 16))
+    single = st.integers(0, width - 1).map(lambda bit: 1 << bit)
+    masks = draw(st.lists(st.one_of(single, st.integers(1, (1 << width) - 1)), max_size=40))
+    return width, masks
+
+
+def components_by_bfs(masks):
+    """Ordered pairs of SAs joined by a path of links, two SAs being linked
+    when their masks share a bit."""
+    unseen = set(range(len(masks)))
+    pairs = 0
+    while unseen:
+        frontier = [unseen.pop()]
+        size = 1
+        while frontier:
+            a = frontier.pop()
+            linked = [b for b in unseen if masks[a] & masks[b]]
+            unseen.difference_update(linked)
+            frontier.extend(linked)
+            size += len(linked)
+        pairs += size * (size - 1)
+    return pairs
+
+
+class TestTopology:
+    @given(sa_populations())
+    @settings(max_examples=300, deadline=None)
+    @example((3, [0b001, 0b010, 0b100]))       # three isolated single-method SAs
+    @example((3, [0b001, 0b011, 0b110, 0b100]))  # a chain joined by multi-method SAs
+    @example((4, [0b0001, 0b0001, 0b0110, 0b1000, 0b1000, 0b1000]))
+    def test_matches_brute_force(self, population):
+        width, masks = population
+        # any table of the catalogue's width, with a distinct value per mask
+        bw_by_mask = np.arange(1 << width, dtype=np.float64)
+        topo = _build_topology(range(len(masks)), dict(enumerate(masks)), bw_by_mask)
+        pairs = [(a, b) for a in range(len(masks)) for b in range(a + 1, len(masks))]
+        assert topo.connected_pairs == components_by_bfs(masks)
+        assert topo.n_links == sum(1 for a, b in pairs if masks[a] & masks[b])
+        assert topo.sum_best_bw == pytest.approx(
+            sum(bw_by_mask[masks[a] & masks[b]] for a, b in pairs))
+
+    def test_best_bandwidth_table_matches_best_method_on_link(self):
+        # few distinct bandwidths and delays, so the one-hop keys often tie on them
+        rng = random.Random(9)
+        for width in [*range(1, 11), *range(1, 11), 16, 16]:
+            ranks = rng.sample(range(1, 100), width)
+            table = method_table(
+                StegMethodProfile(f"m{i}", f"M{i}", rng.choice((40, 80, 100.5)),
+                                  rng.choice((0.0, 0.5)), 0.5, ranks[i])
+                for i in range(width))
+            ids = list(table)
+            got = _best_bandwidth_by_mask(table)
+            expected = [0.0] + [
+                table[best_method_on_link([m for i, m in enumerate(ids) if mask >> i & 1],
+                                          table)].bandwidth_bps
+                for mask in range(1, 1 << width)]
+            assert got.tolist() == expected
 
 
 class TestSerialization:
