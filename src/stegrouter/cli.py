@@ -81,7 +81,7 @@ def _build_parser() -> _Parser:
         "--attack", choices=("adaptive", "static", "both"), default="both",
         help="adversary model(s) to evaluate",
     )
-    ent.add_argument("--oracle", type=int, default=None, metavar="TRIALS",
+    ent.add_argument("--oracle", type=_positive_int, default=None, metavar="TRIALS",
                      help="also simulate TRIALS walks per point as an independent check")
     ent.add_argument("--oracle-seed", type=int, default=0)
     ent.add_argument("--output", default="-", help="CSV path, or - for stdout")

@@ -50,6 +50,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from heapq import heappop, heappush
 from typing import Iterable, Iterator, Mapping, Optional
 
 from .core import AgentId, StegMethodId, StegMethodProfile
@@ -494,51 +495,62 @@ def reference_tables(
     profiles: Mapping[StegMethodId, StegMethodProfile],
     hop_limit: int = 32,
 ) -> dict[AgentId, dict[AgentId, tuple[float, float, int, int]]]:
-    """Reference optima for a static topology, computed by global
-    relaxation instead of the distributed protocol.
+    """The routes the protocol converges to on a static topology,
+    computed by a generalized Dijkstra per destination instead of by the
+    distributed protocol.
 
-    For every ordered pair this returns the best reachable
-    (bottleneck_bps, delay_s, worst_rank, hops) under the same
-    lexicographic order and hop limit the protocol uses.  Kept free of
-    StegRouter machinery so converged protocol tables can be checked
-    against an independent computation.
+    For every ordered pair this returns (bottleneck_bps, delay_s,
+    worst_rank, hops) under the same lexicographic order and hop limit
+    the protocol uses.  That metric is strictly monotone (every link adds
+    a hop) but not isotone, so distance-vector routing converges to the
+    unique locally optimal routes: each agent's key is the best of its
+    neighbors' keys extended by the link to them (Sobrinho, IEEE/ACM ToN
+    2005).  These are not global optima: the best simple path of a pair
+    can be better than its locally optimal route.  Strict monotonicity
+    makes a key final once it is the smallest left on the heap.  Kept
+    free of StegRouter machinery so converged protocol tables can be
+    checked against an independent computation.
     """
     ids = sorted(capabilities)
-    links: list[tuple[AgentId, AgentId, float, float, int]] = []
+    # agent -> (neighbor, -bandwidth, delay, rank) of the link's best method
+    adjacent: dict[AgentId, list[tuple[AgentId, float, float, int]]] = {u: [] for u in ids}
     for i, u in enumerate(ids):
         for v in ids[i + 1 :]:
             shared = capabilities[u] & capabilities[v]
             if not shared:
                 continue
             p = profiles[best_method_on_link(shared, profiles)]
-            links.append((u, v, p.bandwidth_bps, p.delay_s, p.preference_rank))
+            adjacent[u].append((v, -p.bandwidth_bps, p.delay_s, p.preference_rank))
+            adjacent[v].append((u, -p.bandwidth_bps, p.delay_s, p.preference_rank))
 
     tables: dict[AgentId, dict[AgentId, tuple]] = {u: {} for u in ids}
     for dest in ids:
         # Key order mirrors the metric: (-bottleneck, delay, rank, hops).
-        dist: dict[AgentId, tuple] = {dest: (-math.inf, 0.0, 0, 0)}
-        changed = True
-        while changed:
-            changed = False
-            for u, v, bw, delay, rank in links:
-                for near, far in ((u, v), (v, u)):
-                    base = dist.get(far)
-                    if base is None:
-                        continue
-                    hops = base[3] + 1
-                    if hops > hop_limit:
-                        continue
-                    cand = (
-                        max(-bw, base[0]),
-                        base[1] + delay,
-                        max(rank, base[2]),
-                        hops,
-                    )
-                    known = dist.get(near)
-                    if known is None or cand < known:
-                        dist[near] = cand
-                        changed = True
-        for u, key in dist.items():
+        best: dict[AgentId, tuple] = {dest: (-math.inf, 0.0, 0, 0)}
+        settled: set[AgentId] = set()
+        heap = [(best[dest], dest)]
+        while heap:
+            key, u = heappop(heap)
+            if u in settled:
+                continue
+            settled.add(u)
+            neg_bw, delay, rank, hops = key
             if u != dest:
-                tables[u][dest] = (-key[0], key[1], key[2], key[3])
+                tables[u][dest] = (-neg_bw, delay, rank, hops)
+            if hops >= hop_limit:
+                continue
+            hops += 1
+            for v, link_neg_bw, link_delay, link_rank in adjacent[u]:
+                if v in settled:
+                    continue
+                cand = (
+                    link_neg_bw if link_neg_bw > neg_bw else neg_bw,
+                    delay + link_delay,
+                    link_rank if link_rank > rank else rank,
+                    hops,
+                )
+                known = best.get(v)
+                if known is None or cand < known:
+                    best[v] = cand
+                    heappush(heap, (cand, v))
     return tables

@@ -166,13 +166,16 @@ def random_population(seed, max_agents=50, profiles=DEFAULT_METHODS):
     return {agent_id: derive_capabilities(rng, profiles) for agent_id in range(n)}
 
 
+# Exactly representable delays, so path-delay sums carry no rounding and
+# oracle comparison stays exact.
+DYADIC_DELAYS = (0.0, 0.125, 0.25, 0.5, 1.5)
+
+
 def dyadic_delay_methods(seed):
-    """Default catalogue with exactly representable nonzero delays, so
-    path-delay sums carry no rounding and oracle comparison stays exact."""
+    """Default catalogue with delays drawn from DYADIC_DELAYS."""
     rng = random.Random(seed)
-    choices = (0.0, 0.125, 0.25, 0.5, 1.5)
     return tuple(
-        StegMethodProfile(p.id, p.name, p.bandwidth_bps, rng.choice(choices),
+        StegMethodProfile(p.id, p.name, p.bandwidth_bps, rng.choice(DYADIC_DELAYS),
                           p.occurrence, p.preference_rank)
         for p in DEFAULT_METHODS
     )

@@ -161,8 +161,8 @@ class TestCriterion5:
             routes += sum(len(t) for t in want.values())
         verdict(5, True,
                 f"{topologies} random topologies (<= 50 SAs, half with nonzero "
-                f"delays): all {routes} installed routes match the exhaustive "
-                f"widest-path oracle exactly")
+                f"delays): all {routes} installed routes match the generalized-"
+                f"Dijkstra oracle of the locally optimal routes exactly")
 
 
 class TestCriterion6:

@@ -4,8 +4,11 @@ Hand-computed expectations are frozen here as literals; the simulation
 oracle provides the independent route for every derived closed form.
 """
 
+import hashlib
 import io
+import json
 import math
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -201,6 +204,9 @@ class TestMonteCarlo:
         mc = monte_carlo_entropy(scenario(10, 9, 0.75), trials=100_000, seed=1)
         assert mc.report.entropy_bits == 0.0
         assert (mc.ci_low, mc.ci_high) == (0.0, 0.0)
+        # positive zeros: -0.0 would print as such in the entropy CSV
+        for value in (mc.report.entropy_bits, mc.ci_low, mc.ci_high):
+            assert math.copysign(1.0, value) == 1.0
 
     def test_adaptive_closed_form_inside_ci(self):
         s = scenario(10, 2, 0.75)
@@ -228,6 +234,19 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_entropy(s, trials=100, bootstrap=0)
 
+    def test_bootstrap_memory_is_blocked(self):
+        # 200 bootstrap rows of 9,001 categories take 14 MB as counts;
+        # one float copy of them per step of the entropy took the peak
+        # past 70 MB.
+        s = scenario(10_000, 1_000, 0.75, AttackKind.STATIC)
+        tracemalloc.start()
+        try:
+            monte_carlo_entropy(s, 1_000_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 40_000_000, f"peak {peak / 1e6:.1f} MB"
+
     def test_ci_coverage_rate(self):
         # the interval is a statistical object: any single simulation may
         # legitimately miss the closed form (~5%), so the stable property
@@ -240,6 +259,37 @@ class TestMonteCarlo:
             if (mc := monte_carlo_entropy(s, trials=100_000, seed=seed)).ci_low
             <= closed <= mc.ci_high)
         assert contained >= 24, f"closed form covered in only {contained}/30 CIs"
+
+
+# SHA-256 of the JSON row [entropy, max, ci_low, ci_high, trials,
+# observations, rate] of one 10^5-trial oracle point, formed as the
+# benchmark forms its oracle rows: any change to the random-number stream,
+# the walk loop or the bootstrap arithmetic shows here.
+PINNED_ORACLE_ROWS = {
+    (10, 0, 0.75, "adaptive", 1):
+        "9fda9a081a0d6bcdf2f289e8fd3c41dfb557b678440886097062fc736fb5577a",
+    (10, 3, 0.75, "adaptive", 2):
+        "a93cbcc50a8a8a9c410e1d24590b2f58d96cc286126442ec8d6740717a003795",
+    (10, 0, 0.66, "static", 3):
+        "ce2fec32e2439f48e195aa7e60ff20f2aeefb510480afedfda7540e2896942d5",
+    (10, 3, 0.66, "static", 4):
+        "e425525c0ad7cb1e72d86ab0a0d4c6a1382b6084191a1ab1cabaad72fbae615c",
+    (10_000, 1_000, 0.75, "adaptive", 5):
+        "82be42c96cf4465c784c625ba90cf981a5406a7ced8e193df9c843deff0a06a3",
+    (10_000, 1_000, 0.75, "static", 6):
+        "81f458b06113083a1980d0355ef87fc50824dbc73f0caebc34f59740d7d4d5c8",
+}
+
+
+@pytest.mark.parametrize("point", sorted(PINNED_ORACLE_ROWS),
+                         ids=lambda point: "-".join(map(str, point)))
+def test_oracle_rows_are_pinned(point):
+    n, c, p_f, attack, seed = point
+    mc = monte_carlo_entropy(scenario(n, c, p_f, AttackKind(attack)), 100_000, seed=seed)
+    report = mc.report
+    row = [report.entropy_bits, report.max_entropy_bits, mc.ci_low, mc.ci_high,
+           mc.trials, mc.observations, mc.observation_rate]
+    assert hashlib.sha256(json.dumps(row).encode()).hexdigest() == PINNED_ORACLE_ROWS[point]
 
 
 @pytest.mark.slow

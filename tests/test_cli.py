@@ -258,6 +258,30 @@ class TestEntropy:
         assert rows[0]["mc_trials"] == "5000"
         assert rows[0]["mc_entropy_bits"] != ""
 
+    @pytest.mark.parametrize("trials", ["0", "-5", "many"])
+    def test_non_positive_oracle_is_a_usage_error(self, capsys, trials):
+        # 0 would silently skip the oracle and -5 fail at run time
+        with pytest.raises(SystemExit) as info:
+            run_cli("entropy", "--n", "10", "--colluders", "2", "--pf", "0.75",
+                    "--oracle", trials)
+        assert info.value.code == 1
+        captured = capsys.readouterr()
+        assert "--oracle" in captured.err
+        assert captured.out == ""
+
+    @pytest.mark.parametrize("args", [
+        ("--colluders", "9", "--pf", "0.75", "--oracle", "1000"),
+        ("--colluders", "0", "--pf", "0.0"),
+    ])
+    def test_zero_entropies_print_without_sign(self, capsys, args):
+        # a certain sender has entropy 0.0, never -0.0
+        assert run_cli("entropy", "--n", "10", *args) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert rows
+        for row in rows:
+            for value in row.values():
+                assert not value.startswith("-0.0"), row
+
     def test_empty_grid_is_an_error(self):
         assert run_cli("entropy", "--n", "100", "--colluders", "5..1",
                        "--pf", "0.75") == 2

@@ -5,7 +5,7 @@ equivalence."""
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
@@ -19,6 +19,7 @@ from stegrouter.router import (
 )
 
 from harness import (
+    DYADIC_DELAYS,
     build_routers,
     converge,
     dyadic_delay_methods,
@@ -536,7 +537,121 @@ class TestDumpTable:
         ]
 
 
+# The metric is not isotone here: 0 reaches 2 over (0-1 internet,
+# 1-2 hiccups) at 225 kbps, so 3, whose only link is audio to 0, inherits
+# that 3-hop route at 80 bps, although 3-0-2 over audio and image is an
+# 80 bps path of 2 hops.
+NON_ISOTONE = {0: frozenset({"internet", "image", "audio"}),
+               1: frozenset({"internet", "hiccups"}),
+               2: frozenset({"hiccups", "image"}),
+               3: frozenset({"audio"})}
+
+
+@st.composite
+def adversarial_topologies(draw, max_agents):
+    """A sparse capability graph over a catalogue with no dominant
+    carrier: 2-6 methods with few distinct bandwidths and dyadic delays,
+    each agent holding one to three of them, so wide slow paths and
+    narrow fast ones compete, and a hop limit from 1 up.  Four agents at
+    least: on three, every locally optimal route is a best simple path."""
+    count = draw(st.integers(2, 6))
+    ranks = draw(st.permutations(range(1, count + 1)))
+    methods = [
+        StegMethodProfile(f"m{i}", f"M{i}", draw(st.sampled_from((50.0, 80.0, 100.0, 200.0))),
+                          draw(st.sampled_from(DYADIC_DELAYS)), 0.25, ranks[i])
+        for i in range(count)
+    ]
+    ids = [m.id for m in methods]
+    agents = draw(st.integers(4, max_agents))
+    capabilities = {
+        agent: frozenset(draw(st.sets(st.sampled_from(ids), min_size=1, max_size=min(3, count))))
+        for agent in range(agents)
+    }
+    hop_limit = draw(st.sampled_from((1, 2, 3, 4, 32)))
+    return capabilities, method_table(methods), hop_limit
+
+
+def one_hop_keys(capabilities, profiles):
+    """(u, v) -> key of the link between u and v, both directions."""
+    links = {}
+    for u in capabilities:
+        for v in capabilities:
+            shared = capabilities[u] & capabilities[v]
+            if u != v and shared:
+                p = profiles[best_method_on_link(shared, profiles)]
+                links[u, v] = (-p.bandwidth_bps, p.delay_s, p.preference_rank, 1)
+    return links
+
+
+def simple_path_keys(capabilities, profiles, hop_limit):
+    """Brute force: for every ordered pair (u, dest), the keys of all
+    simple paths from u to dest within the hop limit, each folded from
+    dest outwards as the protocol extends routes."""
+    links = one_hop_keys(capabilities, profiles)
+    keys = {}
+
+    def walk(dest, node, key, visited):
+        for (a, b), link in links.items():
+            if a == node and b not in visited and key[3] < hop_limit:
+                longer = join(key, link)
+                keys.setdefault((b, dest), []).append(longer)
+                walk(dest, b, longer, visited | {b})
+
+    for dest in capabilities:
+        walk(dest, dest, (-math.inf, 0.0, 0, 0), {dest})
+    return keys
+
+
 class TestReferenceOracle:
+    def test_non_isotone_counterexample(self):
+        # The protocol settles 3 -> 2 on its neighbor's route, 3 hops,
+        # not on the best simple path, of 2 hops; the oracle must agree.
+        expected = (80.0, 0.0, 5, 3)
+        assert protocol_tables(converge(NON_ISOTONE))[3][2] == expected
+        assert reference_tables(NON_ISOTONE, PROFILES)[3][2] == expected
+        assert min(simple_path_keys(NON_ISOTONE, PROFILES, 32)[3, 2]) == (-80.0, 0.0, 5, 2)
+
+    @settings(max_examples=300, deadline=None)
+    @given(adversarial_topologies(max_agents=12))
+    @example((NON_ISOTONE, PROFILES, 32))
+    def test_equals_protocol_fixed_point(self, topology):
+        capabilities, profiles, hop_limit = topology
+        routers = converge(capabilities, profiles, hop_limit)
+        assert reference_tables(capabilities, profiles, hop_limit) == protocol_tables(routers)
+
+    @settings(max_examples=150, deadline=None)
+    @given(adversarial_topologies(max_agents=7))
+    @example((NON_ISOTONE, PROFILES, 32))
+    def test_routes_are_locally_optimal_simple_paths(self, topology):
+        # Checked against brute force: every route is the key of a simple
+        # path within the hop limit, so never better than the best one,
+        # and is the best of the neighbors' routes extended by their links.
+        # It may be worse than the best simple path (the counterexample
+        # above), and a connected pair may have no route.
+        capabilities, profiles, hop_limit = topology
+        paths = simple_path_keys(capabilities, profiles, hop_limit)
+        links = one_hop_keys(capabilities, profiles)
+        keys = {
+            (u, dest): (-bw, delay, rank, hops)
+            for u, row in reference_tables(capabilities, profiles, hop_limit).items()
+            for dest, (bw, delay, rank, hops) in row.items()
+        }
+        for dest in capabilities:
+            keys[dest, dest] = (-math.inf, 0.0, 0, 0)
+        for (u, dest), key in keys.items():
+            if u != dest:
+                assert key in paths[u, dest]
+        for u in capabilities:
+            for dest in capabilities:
+                if u == dest:
+                    continue
+                extended = [
+                    join(keys[v, dest], link)
+                    for (a, v), link in links.items()
+                    if a == u and (v, dest) in keys and keys[v, dest][3] < hop_limit
+                ]
+                assert keys.get((u, dest)) == min(extended, default=None)
+
     def test_matches_protocol_on_random_topologies(self):
         for seed in range(12):
             capabilities = random_population(seed, max_agents=12)
