@@ -376,8 +376,11 @@ def evaluate_scenarios(
     seed: int = 0,
     bootstrap: int = 200,
 ) -> list[dict]:
-    """Closed-form evaluation of each scenario, optionally cross-checked
-    by the simulation oracle; returns one CSV-ready row per scenario."""
+    """Closed-form evaluation of each scenario, cross-checked by the
+    simulation oracle unless `oracle_trials` is None; returns one CSV-ready
+    row per scenario."""
+    if oracle_trials is not None and oracle_trials < 1:
+        raise ValueError("oracle_trials must be >= 1")
     rows = []
     for index, s in enumerate(scenarios):
         closed = (
@@ -399,7 +402,7 @@ def evaluate_scenarios(
             "mc_ci_high": "",
             "mc_trials": "",
         }
-        if oracle_trials:
+        if oracle_trials is not None:
             per_row_seed = (seed * 1_000_003 + index) % 2**63
             mc = monte_carlo_entropy(
                 s, oracle_trials, seed=per_row_seed, bootstrap=bootstrap

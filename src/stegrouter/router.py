@@ -5,7 +5,9 @@ table exchanged through periodic full-table updates.  A neighbor counts
 as Up while it was heard from within the hold time, or while the platform
 vouches that it is alive: a live peer beacons every hello interval, which
 is shorter than the hold time, so it never goes stale and its hellos need
-not refresh the entry one by one.  Route quality is a
+not refresh the entry one by one.  An expiry check deletes each entry no
+longer Up with the routes through it, so every route's next hop has an
+entry, which holds the facts of that first steg-link.  Route quality is a
 lexicographic metric: widest bottleneck first, then lowest added delay,
 then best (lowest) worst-case method preference rank, then fewest hops;
 remaining ties are broken by the lower next-hop id.  Split horizon is
@@ -92,9 +94,9 @@ class RouterTimers:
 @dataclass(slots=True)
 class NeighborEntry:
     """A steg-link as one endpoint sees it: the method it sends over, that
-    method's one-hop key, and when the peer was last heard from (by hello
-    or discovery).  The peer counts as Up while `peer_alive` is set (see
-    `StegRouter.vouch`) or while `now - last_hello_at <= hold_time`."""
+    method's one-hop key, when the peer was last heard from (by hello or
+    discovery), and whether the platform vouches for the peer (see
+    `StegRouter.vouch` and `StegRouter.is_up`)."""
 
     best_method: StegMethodId
     link_key: Key
@@ -104,9 +106,10 @@ class NeighborEntry:
 
 @dataclass(frozen=True, slots=True)
 class RouteEntry:
+    """A route; the neighbor entry of `next_hop` holds its first link's method."""
+
     next_hop: AgentId
     key: Key
-    via_method: StegMethodId  # method used on the first steg-link of the path
 
 
 # A table row on the wire: (destination, bottleneck_bps, delay_s, worst_rank, hops).
@@ -245,7 +248,7 @@ class StegRouter:
             return False
         entry = self.neighbors.get(advertiser)
         if entry is not None:
-            fresh = entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time
+            fresh = self.is_up(advertiser, now)
             entry.last_hello_at = now
             if fresh:
                 return False
@@ -286,54 +289,50 @@ class StegRouter:
             self.vouched -= 1
         self.receive_hello(peer, final_beacon)
 
+    def is_up(self, peer: AgentId, now: float) -> bool:
+        """Whether `peer` is vouched for or was heard from within the hold time."""
+        entry = self.neighbors.get(peer)
+        return entry is not None and (
+            entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time
+        )
+
     def up_neighbors(self, now: float) -> list[AgentId]:
-        """Vouched neighbors and neighbors heard from within the hold time,
-        in the order they were first discovered (entries are never
-        deleted)."""
+        """The Up neighbors in the order their entries were made; an entry
+        no longer Up stays until the next `expire_check` deletes it."""
         if self.vouched == len(self.neighbors):
             return list(self.neighbors)
-        hold = self.timers.hold_time
-        return [
-            nid
-            for nid, entry in self.neighbors.items()
-            if entry.peer_alive or now - entry.last_hello_at <= hold
-        ]
+        return [nid for nid in self.neighbors if self.is_up(nid, now)]
 
     def hello_tick(self, now: float) -> list[AgentId]:
         """One beat of the liveness beacon: records `now` as this router's
         latest beacon and returns the addressees of this interval's hello,
         i.e. every Up neighbor.  A hello carries no payload beyond the
         sender's identity, so the emission is just the recipient list.  A
-        vouched recipient needs no delivery; any other one is refreshed by
-        delivering the hello through receive_hello.  Stale neighbors are
-        merely skipped here — their routes are invalidated at the next
-        periodic table emission, never sooner, so link loss is only ever
-        disclosed on the regular cadence."""
+        recipient that is not vouched for is refreshed only if the hello
+        is delivered through receive_hello.  Stale neighbors are merely
+        skipped here — the next expire_check (every table emission runs
+        one) deletes them and their routes, never sooner, so link loss is
+        only ever disclosed on the regular cadence."""
         self.last_beacon = now
         return self.up_neighbors(now)
 
     def expire_check(self, now: float) -> list[AgentId]:
-        """Invalidate routes whose next hop has gone stale.  Expiry is a
+        """Delete the neighbors that have gone stale, each with the routes
+        through it and the memo of its last processed table, and return
+        them; a neighbor is reported once, when it is deleted.  Expiry is a
         local, silent event: nothing is emitted until the next periodic
         update simply stops mentioning the lost destinations."""
         if self.vouched == len(self.neighbors):
             return []
-        hold = self.timers.hold_time
-        expired = [
-            nid
-            for nid, entry in self.neighbors.items()
-            if not entry.peer_alive and now - entry.last_hello_at > hold
-        ]
+        expired = [nid for nid in self.neighbors if not self.is_up(nid, now)]
         if expired:
             dead = set(expired)
-            stale = [
-                dest
-                for dest, route in self.routes.items()
-                if route.next_hop in dead
-            ]
+            stale = [dest for dest, route in self.routes.items() if route.next_hop in dead]
             for dest in stale:
                 del self.routes[dest]
             for nid in expired:
+                del self.neighbors[nid]
+                self._processed.pop(nid, None)
                 self._via.pop(nid, None)
             self._log.extend(stale)
             self._lost.extend(stale)
@@ -372,11 +371,9 @@ class StegRouter:
         last processed table (see the module docstring).
         """
         sender = batch.sender
-        entry = self.neighbors.get(sender)
-        if entry is None or (
-            not entry.peer_alive and now - entry.last_hello_at > self.timers.hold_time
-        ):
+        if not self.is_up(sender, now):
             return False
+        entry = self.neighbors[sender]
         routes = self.routes
         log = self._log
         lost = self._lost
@@ -401,7 +398,6 @@ class StegRouter:
                 extended = {**extended, **_extend(batch, lost[seen[1] :], link_key, hop_limit)}
 
         me = self.agent_id
-        method = entry.best_method
         changed = False
         for dest, (next_hop, key) in extended.items():
             if dest == me:
@@ -425,7 +421,7 @@ class StegRouter:
                         if current is not None:
                             via[current.next_hop] -= 1
                         via[sender] = via.get(sender, 0) + 1
-                    routes[dest] = RouteEntry(sender, key, method)
+                    routes[dest] = RouteEntry(sender, key)
                     log.append(dest)
                     changed = True
             elif current is not None and current.next_hop == sender:
@@ -447,8 +443,9 @@ class StegRouter:
         for dest in sorted(self.routes):
             r = self.routes[dest]
             key = r.key
+            method = self.neighbors[r.next_hop].best_method
             lines.append(
-                f"{dest} {r.next_hop} {r.via_method} {-key[0]:g} "
+                f"{dest} {r.next_hop} {method} {-key[0]:g} "
                 f"{key[1]:g} {key[2]} {key[3]}"
             )
         return "\n".join(lines)
@@ -458,12 +455,13 @@ def resolve_steg_path(
     routers: Mapping[AgentId, StegRouter],
     source: AgentId,
     destination: AgentId,
-    now: Optional[float] = None,
+    now: float,
 ) -> Optional[list[tuple[AgentId, StegMethodId]]]:
-    """Resolve the hop-by-hop steg path from source to destination by
-    chaining next-hop lookups, returning (agent, method-into-that-agent)
-    pairs; each hop may re-embed the payload with a different method.
-    Returns None when any router on the chain lacks a live route."""
+    """Resolve the hop-by-hop steg path from source to destination at
+    `now` by chaining next-hop lookups, returning (agent,
+    method-into-that-agent) pairs; each hop may re-embed the payload with a
+    different method.  Returns None when any router on the chain lacks a
+    route or its next hop is not Up."""
     if source == destination:
         return []
     path: list[tuple[AgentId, StegMethodId]] = []
@@ -474,17 +472,11 @@ def resolve_steg_path(
         if router is None:
             return None
         route = router.routes.get(destination)
-        if route is None:
+        if route is None or not router.is_up(route.next_hop, now):
             return None
-        if now is not None:
-            entry = router.neighbors.get(route.next_hop)
-            if entry is None or (
-                not entry.peer_alive and now - entry.last_hello_at > router.timers.hold_time
-            ):
-                return None
         if route.next_hop in visited:
             return None
-        path.append((route.next_hop, route.via_method))
+        path.append((route.next_hop, router.neighbors[route.next_hop].best_method))
         visited.add(route.next_hop)
         current = route.next_hop
     return path

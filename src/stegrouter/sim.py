@@ -422,6 +422,17 @@ class Platform:
                 win[key] = win.get(key, 0) + hello_bits * (total - done)
                 counted[key] = total
 
+    def form_link(self, a: AgentId, b: AgentId, now: float) -> bool:
+        """Where every steg-link forms: alive steg agent `a` ingests b's
+        advertisement, and if a new relation came up, `b` ingests a's
+        answer and both ends are vouched for.  Returns whether it came up."""
+        ra, rb = self.routers[a], self.routers[b]
+        if not ra.ingest_discovery(b, rb.capabilities, now):
+            return False
+        rb.ingest_discovery(a, ra.capabilities, now)
+        self._link_formed(a, b)
+        return True
+
     def _link_formed(self, a: AgentId, b: AgentId) -> None:
         """Vouch for both ends of a steg-link formed between two alive
         agents; its hellos are counted from here on."""
@@ -444,8 +455,8 @@ class Platform:
     def _on_hello(self, agent_id: AgentId, now: float) -> None:
         """One beacon: a hello to every Up neighbor.  A vouched neighbor
         needs no delivery and its link's bits are counted at the next
-        flush; a hello to any other neighbor (one that departed, or a link
-        formed outside walk delivery) is delivered and counted singly."""
+        flush.  Any other Up neighbor departed within the hold time, so
+        its hello reaches nobody and is counted on its own."""
         router = self.routers.get(agent_id)
         if router is None:
             return
@@ -465,9 +476,6 @@ class Platform:
                 if not neighbors[neighbor].peer_alive:
                     key = (agent_id, neighbor) if agent_id < neighbor else (neighbor, agent_id)
                     win[key] = win.get(key, 0) + hello_bytes * 8
-                    peer = self.routers.get(neighbor)
-                    if peer is not None:
-                        peer.receive_hello(agent_id, now)
         self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
 
     def _on_update(self, agent_id: AgentId, now: float) -> None:
@@ -499,16 +507,11 @@ class Platform:
         self._walk_sent(originator, holder, hops)
         receiver = self.routers.get(holder)
         origin = self.routers.get(originator)
-        if receiver is None or origin is None:
+        if receiver is None or origin is None or not self.form_link(holder, originator, now):
             return
-        formed = receiver.ingest_discovery(originator, origin.capabilities, now)
-        if not formed:
-            return
-        # New neighbor relation: answer with own capabilities over the
-        # fresh covert channel, then both sides swap full tables.
+        # New neighbor relation: the holder's answer crossed the fresh
+        # covert channel, then both sides swap full tables.
         self._send("discovery", holder, originator, self.config.sizes.discovery)
-        origin.ingest_discovery(holder, receiver.capabilities, now)
-        self._link_formed(holder, originator)
         for router, dest in ((receiver, originator), (origin, holder)):
             batch = router.build_update(now)
             if batch is not None:

@@ -101,7 +101,7 @@ def reference_process_update(router, batch, now):
             cur_key = current.key
             adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
         if adopt:
-            routes[dest] = RouteEntry(sender, key, entry.best_method)
+            routes[dest] = RouteEntry(sender, key)
             log.append(dest)
 
     withdrawn = [

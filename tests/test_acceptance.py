@@ -249,15 +249,12 @@ class TestCriterion9:
         events = []
         platform = Platform(
             cfg, trace=lambda *row: events.append(row))
-        # full mesh from t=0: introduce every SA pair directly, then let the
-        # periodic machinery run with no further formations
+        # full mesh from t=0: form a link between every SA pair, then let
+        # the periodic machinery run with no further formations
         sa_ids = sorted(platform.routers)
         for i, a in enumerate(sa_ids):
             for b in sa_ids[i + 1:]:
-                platform.routers[a].ingest_discovery(
-                    b, platform.routers[b].capabilities, 0.0)
-                platform.routers[b].ingest_discovery(
-                    a, platform.routers[a].capabilities, 0.0)
+                assert platform.form_link(a, b, 0.0)
         platform.run_until(95.0)
         victim = sa_ids[3]
         platform.remove_agent(victim)

@@ -349,6 +349,13 @@ class TestEvaluateScenarios:
         assert rows[0]["mc_trials"] == 20_000
         assert rows[0]["mc_ci_low"] <= rows[0]["mc_entropy_bits"] <= rows[0]["mc_ci_high"]
 
+    @pytest.mark.parametrize("trials", [0, -5])
+    def test_non_positive_oracle_trials_raise(self, trials):
+        # None is the only way to ask for no oracle, as a count below 1
+        # is an error for monte_carlo_entropy too
+        with pytest.raises(ValueError):
+            evaluate_scenarios([scenario(10, 2, 0.75)], oracle_trials=trials)
+
     def test_deterministic_rows(self):
         grid = [scenario(10, c, 0.75) for c in (1, 2)]
         a = evaluate_scenarios(grid, oracle_trials=10_000, seed=9)

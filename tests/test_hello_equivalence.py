@@ -1,19 +1,20 @@
 """Hellos accounted once per beacon equal hellos sent one by one.
 
-`Platform` vouches for both ends of every steg-link formed by walk
-delivery, so a live peer counts as Up without its hellos refreshing the
-entry, a beacon adds its messages to the totals in one step, and a live
-link's window bits are derived from the beacon counts of its two ends.
-`harness.ReferencePlatform` sends and delivers every hello on its own.  On
-random small configs both must write the same report lines and make the
-same trace calls in the same order.
+`Platform` vouches for both ends of every steg-link, all of which
+`Platform.form_link` forms, so a live peer counts as Up without its
+hellos refreshing the entry, a beacon adds its messages to the totals in
+one step, and a live link's window bits are derived from the beacon
+counts of its two ends; only a hello to a peer that departed within the
+hold time is counted on its own.  `harness.ReferencePlatform` vouches for
+no link and sends and delivers every hello on its own.  On random small
+configs both must write the same report lines and make the same trace
+calls in the same order.
 
 The configs cover a hold time one float step above the hello interval,
 churn up to one migration per second, sampling intervals that are not
 multiples of the hello interval, a text-only catalogue sampled every
 second (one hello saturates the 80 bit/s link for that window), and links
-formed directly through the routers, which the platform does not vouch
-for.
+formed through `form_link` before the run starts.
 """
 
 import math
@@ -31,17 +32,14 @@ TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
 CATALOGUES = (DEFAULT_METHODS, TEXT_ONLY, dyadic_delay_methods(3))
 
 
-def outputs(platform_cls, cfg, direct_pairs):
+def outputs(platform_cls, cfg, early_pairs):
     calls = []
     platform = platform_cls(cfg, trace=lambda *row: calls.append(row))
     sa_ids = sorted(platform.routers)
-    for i, j, both_ends in direct_pairs:
+    for i, j in early_pairs:
         if len(sa_ids) < 2:
             break
-        a, b = sa_ids[i % len(sa_ids)], sa_ids[j % len(sa_ids)]
-        platform.routers[a].ingest_discovery(b, platform.routers[b].capabilities, 0.0)
-        if both_ends:
-            platform.routers[b].ingest_discovery(a, platform.routers[a].capabilities, 0.0)
+        platform.form_link(sa_ids[i % len(sa_ids)], sa_ids[j % len(sa_ids)], 0.0)
     platform.run_until(cfg.duration)
     return list(run_report_lines(platform.report())), calls
 
@@ -72,8 +70,7 @@ def configs(draw):
     )
 
 
-direct_pairs = st.lists(
-    st.tuples(st.integers(0, 15), st.integers(0, 15), st.booleans()), max_size=3)
+early_pairs = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_size=3)
 
 
 @example(
@@ -85,10 +82,10 @@ direct_pairs = st.lists(
     SimConfig(duration=300.0, n_agents=40, migration_rate=1.0, seed=2,
               sampling_interval=3.7,
               timers=RouterTimers(5.0, math.nextafter(5.0, math.inf), 30.0)),
-    [(0, 1, True), (2, 3, False)],
+    [(0, 1), (2, 3)],
 )
 @settings(max_examples=120, deadline=None)
-@given(configs(), direct_pairs)
+@given(configs(), early_pairs)
 def test_beacons_match_hellos_sent_one_by_one(cfg, pairs):
     lines, calls = outputs(Platform, cfg, pairs)
     ref_lines, ref_calls = outputs(ReferencePlatform, cfg, pairs)

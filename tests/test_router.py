@@ -51,7 +51,7 @@ def route_heard(adverts, order=None):
         sender.ingest_discovery(1, receiver.capabilities, 0.0)
         receiver.ingest_discovery(sender_id, sender.capabilities, 0.0)
         bw, delay, rank, hops = adverts[sender_id]
-        sender.routes[9] = RouteEntry(8, (-bw, delay, rank, hops), "internet")
+        sender.routes[9] = RouteEntry(8, (-bw, delay, rank, hops))
         sender._via[8] = 1  # the route count that build_update copies
         receiver.process_update(sender.build_update(0.0), 0.0)
     return receiver.routes[9]
@@ -76,7 +76,7 @@ class TestLinkMetrics:
         routers = converge({1: frozenset({"internet", "image"}),
                             2: frozenset({"image", "audio"})})
         route = routers[1].routes[2]
-        assert route.via_method == "image"
+        assert routers[1].neighbors[route.next_hop].best_method == "image"
         assert route.key == (-100, 0.0, PROFILES["image"].preference_rank, 1)
 
     def test_best_method_prefers_bandwidth(self):
@@ -300,8 +300,10 @@ class TestNeighborLifecycle:
         assert expired == [2]
         assert 2 not in r1.routes
         assert r1.table_version == version + 1
-        # a second check emits nothing new and changes nothing
-        assert r1.expire_check(16.5) == [2]
+        # the expired entry is deleted, so a second check reports nothing
+        # and changes nothing
+        assert 2 not in r1.neighbors and 2 not in r1._processed
+        assert r1.expire_check(16.5) == []
         assert r1.table_version == version + 1
 
 
@@ -383,7 +385,7 @@ class TestProcessUpdate:
         route = a.routes[2]
         assert route.next_hop == 2
         assert route.key == (-300000, 0.0, 1, 1)
-        assert route.via_method == "internet"
+        assert a.neighbors[2].best_method == "internet"
 
     def test_never_routes_to_self(self):
         a, b = self.two_routers()
@@ -505,16 +507,16 @@ class TestResolvePath:
 
     def test_method_conversion_chain(self):
         routers = self.conversion_chain()
-        path = resolve_steg_path(routers, 1, 4)
+        path = resolve_steg_path(routers, 1, 4, 0.0)
         assert path == [(2, "image"), (3, "audio"), (4, "video")]
 
     def test_destination_is_self(self):
         routers = self.conversion_chain()
-        assert resolve_steg_path(routers, 1, 1) == []
+        assert resolve_steg_path(routers, 1, 1, 0.0) == []
 
     def test_unreachable_destination(self):
         routers = self.conversion_chain()
-        assert resolve_steg_path(routers, 1, 99) is None
+        assert resolve_steg_path(routers, 1, 99, 0.0) is None
 
     def test_expired_next_hop_blocks_path(self):
         routers = self.conversion_chain()

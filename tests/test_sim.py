@@ -243,11 +243,16 @@ class TestConvergence:
         sa_ids = sorted(platform.routers)
         victim, survivor = sa_ids[0], sa_ids[1]
         platform.remove_agent(victim)
-        platform.run_until(230.0)
         router = platform.routers[survivor]
         assert victim in router.neighbors
-        assert victim not in router.up_neighbors(platform.now)
-        assert victim not in router.routes
+        assert router.vouched == len(router.neighbors) - 1
+        # past the hold time the departed peer's entry is deleted, and with
+        # it gone every entry left is vouched for again
+        platform.run_until(230.0)
+        for router in platform.routers.values():
+            assert victim not in router.neighbors
+            assert victim not in router.routes
+            assert router.vouched == len(router.neighbors)
         assert platform.convergence_level() == 1.0
 
 

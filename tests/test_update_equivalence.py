@@ -6,11 +6,12 @@ sequence of steps.  One copy processes updates with
 can have changed since the sender's last processed table; the other
 applies `harness.reference_process_update`, the full-table rule, to every
 row of every batch.  After each step both copies must hold the same
-routes (next hop, key, method), the same table versions, and every
-call must have returned the same value.  In both copies each router's
-kept count of routes per next hop must also equal a count made from
-scratch, and every message of every batch built must have as many rows
-as `row_count_for` says.
+routes (next hop, key), the same table versions, and every call must
+have returned the same value.  In both copies each router's kept count
+of routes per next hop must also equal a count made from scratch, every
+route's next hop must have a neighbor entry (which holds the method of
+the route's first link), and every message of every batch built must
+have as many rows as `row_count_for` says.
 
 Steps cover what the simulator does and the orders it never produces:
 periodic emission to all Up neighbors or to one of them, a past batch
@@ -123,11 +124,13 @@ class Network:
         ]
 
     def check_counts(self, batches_before):
-        """The kept route counts per next hop match the routes, and the
-        batches built since `batches_before` count their rows right."""
+        """The kept route counts per next hop match the routes, each next
+        hop has a neighbor entry, and the batches built since
+        `batches_before` count their rows right."""
         for router in self.routers.values():
             kept = {hop: count for hop, count in router._via.items() if count}
             assert kept == Counter(route.next_hop for route in router.routes.values())
+            assert set(kept) <= set(router.neighbors)
         for batch in self.history[batches_before:]:
             for recipient in batch.recipients:
                 assert batch.row_count_for(recipient) == len(list(batch.rows_for(recipient)))
@@ -137,7 +140,7 @@ class Network:
             agent_id: (
                 router.table_version,
                 {
-                    dest: (route.next_hop, route.key, route.via_method)
+                    dest: (route.next_hop, route.key)
                     for dest, route in router.routes.items()
                 },
             )
