@@ -22,15 +22,6 @@ import sys
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
 
-import numpy as np
-
-from .anonymity import (
-    AdversaryScenario,
-    AttackKind,
-    InvalidScenarioError,
-    evaluate_scenarios,
-    write_entropy_csv,
-)
 from .sim import (
     ConfigError,
     SimConfig,
@@ -128,7 +119,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "presets":
             return _cmd_presets()
         return _cmd_validate(args)
-    except (ConfigError, InvalidScenarioError) as exc:
+    except ConfigError as exc:
         print(f"stegrouter: invalid configuration: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     except Exception as exc:  # runtime failures map to a distinct code
@@ -305,6 +296,16 @@ def _parse_float_grid(text: str, label: str) -> list[float]:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
+    # anonymity (and with it numpy) is imported here, not at module level,
+    # so that `simulate` runs on the standard library alone
+    from .anonymity import (
+        AdversaryScenario,
+        AttackKind,
+        InvalidScenarioError,
+        evaluate_scenarios,
+        write_entropy_csv,
+    )
+
     ns = _parse_int_grid(args.n, "population")
     cs = _parse_int_grid(args.colluders, "colluder")
     pfs = _parse_float_grid(args.pf, "p_f")
@@ -313,16 +314,19 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         "static": (AttackKind.STATIC,),
         "both": (AttackKind.ADAPTIVE, AttackKind.STATIC),
     }[args.attack]
-    scenarios = [
-        AdversaryScenario(total_agents=n, colluders=c, p_f=pf, attack=kind)
-        for n in ns
-        for pf in pfs
-        for c in cs
-        for kind in kinds
-    ]
-    rows = evaluate_scenarios(
-        scenarios, oracle_trials=args.oracle, seed=args.oracle_seed
-    )
+    try:
+        scenarios = [
+            AdversaryScenario(total_agents=n, colluders=c, p_f=pf, attack=kind)
+            for n in ns
+            for pf in pfs
+            for c in cs
+            for kind in kinds
+        ]
+        rows = evaluate_scenarios(
+            scenarios, oracle_trials=args.oracle, seed=args.oracle_seed
+        )
+    except InvalidScenarioError as exc:
+        raise ConfigError(str(exc)) from None
     if args.output == "-":
         write_entropy_csv(rows, sys.stdout)
     else:
@@ -383,8 +387,9 @@ def _read_summary_rows(input_dir: str) -> list[dict]:
 
 
 def _mean_ci_quantiles(values: Sequence[float]) -> tuple[float, float, float, float, float, bool]:
-    # scipy is imported here, not at module level, so that `simulate`
-    # never pays for it: only `report` needs the Student-t quantile.
+    # numpy and scipy are imported here, not at module level, so that
+    # `simulate` never pays for them: only `report` needs them.
+    import numpy as np
     from scipy import stats as scipy_stats
 
     arr = np.asarray(values, dtype=float)
@@ -398,6 +403,8 @@ def _mean_ci_quantiles(values: Sequence[float]) -> tuple[float, float, float, fl
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
+    import numpy as np
+
     rows = _read_summary_rows(args.input_dir)
     groups: dict[tuple, list[dict]] = {}
     for row in rows:

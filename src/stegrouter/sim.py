@@ -22,9 +22,8 @@ import typing
 from collections import Counter
 from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import IntEnum
+from fractions import Fraction
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
-
-import numpy as np
 
 from .core import (
     AgentId,
@@ -628,7 +627,7 @@ def _first_sustained_full(frames: Sequence[MetricsFrame]) -> Optional[float]:
     return frames[last_below + 1].time
 
 
-def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) -> np.ndarray:
+def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) -> list[float]:
     """Bandwidth of the best method on a link for every capability-
     intersection bitmask, bit i standing for the i-th profile; index 0 (no
     shared method) maps to 0.0.
@@ -644,8 +643,8 @@ def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) 
         low = (mask & -mask).bit_length() - 1
         rest = mask & (mask - 1)
         best[mask] = low if rest == 0 or keys[low] < keys[best[rest]] else best[rest]
-    bandwidth = [p.bandwidth_bps for p in profiles.values()]
-    table = np.array([bandwidth[i] for i in best], dtype=np.float64)
+    bandwidth = [float(p.bandwidth_bps) for p in profiles.values()]
+    table = [bandwidth[i] for i in best]
     table[0] = 0.0
     return table
 
@@ -653,33 +652,37 @@ def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) 
 def _build_topology(
     alive_sas: Collection[AgentId],
     mask: Mapping[AgentId, int],
-    bw_by_mask: np.ndarray,
+    bw_by_mask: Sequence[float],
 ) -> _Topology:
     """Link count, summed best-link bandwidth and ordered connected SA
-    pairs of the alive population.
+    pairs of the alive population, counted over its classes of equal
+    capability mask (at most 2^16, usually a few dozen) instead of its SAs.
 
     Two SAs share a steg-link exactly when their capability masks share a
-    bit, so all SAs that hold one method are linked pairwise.  Every
-    connected component is therefore a union of methods, joined by the SAs
-    that hold several of them, and the components are found by merging
-    the distinct masks (at most 2^16, usually a few dozen) instead of the
-    SAs.  A component of k SAs has k*(k-1) ordered connected pairs."""
-    n = len(alive_sas)
-    if n < 2:
-        return _Topology(0, 0.0, 0)
-    masks = np.fromiter((mask[a] for a in alive_sas), dtype=np.int64, count=n)
-    pair = np.bitwise_and.outer(masks, masks)
-    np.fill_diagonal(pair, 0)
-    iu = np.triu_indices(n, 1)
-    upper = pair[iu]
-    exists = upper != 0
-    n_links = int(exists.sum())
-    sum_best_bw = float(bw_by_mask[upper].sum())
+    bit.  So classes of c1 and c2 SAs whose masks m1 and m2 share a bit
+    add c1*c2 links, each of best bandwidth `bw_by_mask[m1 & m2]`, and a
+    class of c SAs adds c*(c-1)/2 links among its own members.  The
+    bandwidth sum is exact and rounded once, so it does not depend on the
+    order of the SAs.
+
+    All SAs that hold one method are linked pairwise, so every connected
+    component is a union of methods, joined by the SAs that hold several
+    of them, and the components are found by merging the classes.  A
+    component of k SAs has k*(k-1) ordered connected pairs."""
+    classes = list(Counter(mask[a] for a in alive_sas).items())
+    links: Counter = Counter()  # shared mask -> links whose ends share exactly it
+    for i, (m1, c1) in enumerate(classes):
+        links[m1] += c1 * (c1 - 1) // 2
+        for m2, c2 in classes[i + 1:]:
+            if m1 & m2:
+                links[m1 & m2] += c1 * c2
+    n_links = sum(links.values())
+    sum_best_bw = float(sum(k * Fraction(bw_by_mask[m]) for m, k in links.items()))
 
     # union of a component's methods -> alive SAs in it; the keys stay
     # disjoint, so a mask joins exactly the components it shares a bit with
     sizes: dict[int, int] = {}
-    for m, count in Counter(masks.tolist()).items():
+    for m, count in classes:
         for methods in [c for c in sizes if c & m]:
             m |= methods
             count += sizes.pop(methods)

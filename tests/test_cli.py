@@ -409,29 +409,50 @@ class TestReport:
 
 
 class TestImportPath:
+    # a probe shared by the child interpreters: the loaded modules of a package
+    LOADED = (
+        "import json\n"
+        "def loaded(package):\n"
+        "    return sorted(m for m in sys.modules if m == package or m.startswith(package + '.'))\n"
+    )
+
     def test_simulate_imports_no_scipy(self, tmp_path):
-        # scipy's import alone costs more than a short simulate run; only
-        # `report` may pull it in, for its Student-t quantile
+        # numpy's and scipy's imports alone cost more than a short simulate
+        # run; only `entropy` may pull numpy in, and only `report` numpy and
+        # scipy, for its Student-t quantile
         out = run_in_child(
-            "import json\n"
+            self.LOADED
+            + "import stegrouter.sim\n"
+            "after_import = loaded('numpy') + loaded('scipy')\n"
             "from stegrouter import cli\n"
-            "def scipy_modules():\n"
-            "    return sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
             "code = cli.main(['simulate', '--set', 'n_agents=30', '--set', 'duration=60',\n"
             f"                 '--output-dir', {str(tmp_path)!r}])\n"
-            "after_simulate = scipy_modules()\n"
+            "after_simulate = loaded('numpy') + loaded('scipy')\n"
+            "entropy_code = cli.main(['entropy', '--n', '100', '--colluders', '5', '--pf', '0.75',\n"
+            f"                         '--output', {str(tmp_path / 'entropy.csv')!r}])\n"
+            "entropy_loads = ['numpy' in loaded('numpy'), 'scipy' in loaded('scipy')]\n"
             "cli._mean_ci_quantiles([5.0, 7.0])\n"
-            "print(json.dumps([code, after_simulate, 'scipy.stats' in scipy_modules()]))\n"
+            "print(json.dumps([code, after_import, after_simulate, entropy_code, entropy_loads,\n"
+            "                  'scipy.stats' in loaded('scipy')]))\n"
         )
-        code, after_simulate, ci_loads_scipy = json.loads(out.splitlines()[-1])
+        code, after_import, after_simulate, entropy_code, entropy_loads, ci_loads_scipy = (
+            json.loads(out.splitlines()[-1]))
         assert code == 0
+        assert after_import == []
         assert after_simulate == []
-        assert ci_loads_scipy  # the probe does see scipy once it is imported
+        assert entropy_code == 0
+        # the probe does see numpy and scipy once they are imported
+        assert entropy_loads == [True, False]
+        assert ci_loads_scipy
 
         out = run_in_child(
-            "from stegrouter import cli\n"
-            f"sys.exit(cli.main(['report', {str(tmp_path)!r}]))\n"
+            self.LOADED
+            + "from stegrouter import cli\n"
+            "before = loaded('numpy')\n"
+            f"code = cli.main(['report', {str(tmp_path)!r}])\n"
+            "print(json.dumps([code, before, 'numpy' in loaded('numpy')]))\n"
         )
-        header, row = out.splitlines()
+        header, row, probe = out.splitlines()
         assert header == ",".join(REPORT_CSV_COLUMNS)
         assert row.startswith("30,0.1,0.75,0,1,")
+        assert json.loads(probe) == [0, [], True]

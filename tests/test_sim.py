@@ -6,6 +6,7 @@ import hashlib
 import json
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
 from stegrouter.router import RouterTimers, best_method_on_link
+from stegrouter.cli import PRESETS
 from stegrouter.sim import (
     SUMMARY_CSV_COLUMNS,
     ConfigError,
@@ -29,7 +31,7 @@ from stegrouter.sim import (
     write_run_jsonl,
 )
 
-from harness import digest_under_hash_seed
+from harness import digest_under_hash_seed, dyadic_delay_methods
 
 # one universally shared method: every SA pair has a link, graph always connected
 TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
@@ -450,21 +452,43 @@ def components_by_bfs(masks):
 
 
 class TestTopology:
-    @given(sa_populations())
+    @given(sa_populations(), st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
-    @example((3, [0b001, 0b010, 0b100]))       # three isolated single-method SAs
-    @example((3, [0b001, 0b011, 0b110, 0b100]))  # a chain joined by multi-method SAs
-    @example((4, [0b0001, 0b0001, 0b0110, 0b1000, 0b1000, 0b1000]))
-    def test_matches_brute_force(self, population):
+    @example((3, [0b001, 0b010, 0b100]), False, random.Random(0))  # three isolated single-method SAs
+    @example((3, [0b001, 0b011, 0b110, 0b100]), True, random.Random(0))  # a chain joined by multi-method SAs
+    @example((4, [0b0001, 0b0001, 0b0110, 0b1000, 0b1000, 0b1000]), True, random.Random(1))
+    def test_matches_brute_force(self, population, fractional, rng):
         width, masks = population
-        # any table of the catalogue's width, with a distinct value per mask
-        bw_by_mask = np.arange(1 << width, dtype=np.float64)
+        # any table of the catalogue's width: a distinct integer per mask,
+        # or fractional bandwidths whose float sums round
+        if fractional:
+            bw_by_mask = [0.0] + [rng.uniform(0.0, 1e6) for _ in range(1, 1 << width)]
+        else:
+            bw_by_mask = [float(m) for m in range(1 << width)]
         topo = _build_topology(range(len(masks)), dict(enumerate(masks)), bw_by_mask)
         pairs = [(a, b) for a in range(len(masks)) for b in range(a + 1, len(masks))]
         assert topo.connected_pairs == components_by_bfs(masks)
         assert topo.n_links == sum(1 for a, b in pairs if masks[a] & masks[b])
-        assert topo.sum_best_bw == pytest.approx(
-            sum(bw_by_mask[masks[a] & masks[b]] for a, b in pairs))
+        assert topo.sum_best_bw == float(
+            sum(Fraction(bw_by_mask[masks[a] & masks[b]]) for a, b in pairs))
+
+    @pytest.mark.parametrize("catalogue", [DEFAULT_METHODS, dyadic_delay_methods(1), TEXT_ONLY],
+                             ids=["default", "dyadic", "text-only"])
+    @pytest.mark.parametrize("preset", sorted(PRESETS))
+    def test_bandwidth_sum_is_the_numpy_sum_on_integer_catalogues(self, preset, catalogue):
+        # the former formula: numpy's pairwise sum over the upper triangle of
+        # the SA-by-SA mask intersections, in the order of the alive SAs; its
+        # partial sums are exact on an integer-valued catalogue, so the exact
+        # sum matches it bit for bit and no report moves
+        platform = Platform(SimConfig(**PRESETS[preset], methods=catalogue, seed=5))
+        masks = np.fromiter((platform._mask[a] for a in platform.routers), dtype=np.int64)
+        pair = np.bitwise_and.outer(masks, masks)
+        np.fill_diagonal(pair, 0)
+        upper = pair[np.triu_indices(len(masks), 1)]
+        numpy_sum = float(np.asarray(platform._bw_by_mask)[upper].sum())
+        topo = _build_topology(platform.routers, platform._mask, platform._bw_by_mask)
+        assert topo.sum_best_bw.hex() == numpy_sum.hex()
+        assert topo.n_links == int((upper != 0).sum())
 
     def test_best_bandwidth_table_matches_best_method_on_link(self):
         # few distinct bandwidths and delays, so the one-hop keys often tie on them
@@ -481,7 +505,7 @@ class TestTopology:
                 table[best_method_on_link([m for i, m in enumerate(ids) if mask >> i & 1],
                                           table)].bandwidth_bps
                 for mask in range(1, 1 << width)]
-            assert got.tolist() == expected
+            assert list(got) == expected
 
 
 class TestSerialization:
