@@ -138,12 +138,14 @@ def adaptive_entropy(s: AdversaryScenario) -> EntropyReport:
 def escape_probability(s: AdversaryScenario) -> float:
     """Probability that no colluder ever appears on the forwarding path:
     1 - C / (N - p_f * (N - C)), the closed form of the geometric-series
-    sum over path lengths."""
+    sum over path lengths.
+
+    A valid scenario (N >= 2, 0 <= C <= N, 0 <= p_f < 1) keeps the
+    denominator at least max(C, N(1 - p_f)) > 0, so the value lies in
+    [0, 1].  Rounding keeps it there too: p_f * x rounds below x for any
+    float x > 0 and p_f < 1."""
     n, c = s.total_agents, s.colluders
-    denominator = n - s.p_f * (n - c)
-    if denominator <= 0:
-        raise InvalidScenarioError("escape probability undefined: p_f too large")
-    return 1.0 - c / denominator
+    return 1.0 - c / (n - s.p_f * (n - c))
 
 
 def static_entropy(s: AdversaryScenario) -> EntropyReport:

@@ -7,13 +7,14 @@ vouches that it is alive: a live peer beacons every hello interval, which
 is shorter than the hold time, so it never goes stale and its hellos need
 not refresh the entry one by one.  An expiry check deletes each entry no
 longer Up with the routes through it, so every route's next hop has an
-entry, which holds the facts of that first steg-link.  Route quality is a
-lexicographic metric: widest bottleneck first, then lowest added delay,
-then best (lowest) worst-case method preference rank, then fewest hops;
-remaining ties are broken by the lower next-hop id.  Split horizon is
-applied without poisoned reverse, updates are strictly periodic (an
-expiry stays silent until the next scheduled update), and paths longer
-than the hop limit are treated as unreachable.
+entry, which holds the facts of that first steg-link, and a route is only
+the pair (next hop, key).  Route quality is a lexicographic metric:
+widest bottleneck first, then lowest added delay, then best (lowest)
+worst-case method preference rank, then fewest hops; remaining ties are
+broken by the lower next-hop id.  Split horizon is applied without
+poisoned reverse, updates are strictly periodic (an expiry stays silent
+until the next scheduled update), and paths longer than the hop limit are
+treated as unreachable.
 
 Updates are processed incrementally.  Each router logs, in order, every
 destination whose route changed, and apart from that every destination
@@ -104,13 +105,9 @@ class NeighborEntry:
     peer_alive: bool = False
 
 
-@dataclass(frozen=True, slots=True)
-class RouteEntry:
-    """A route; the neighbor entry of `next_hop` holds its first link's method."""
-
-    next_hop: AgentId
-    key: Key
-
+#: A route: (next hop, key); the neighbor entry of the next hop holds the
+#: method of its first link.
+Route = tuple[AgentId, Key]
 
 # A table row on the wire: (destination, bottleneck_bps, delay_s, worst_rank, hops).
 Row = tuple[AgentId, float, float, int, int]
@@ -135,23 +132,18 @@ class UpdateBatch:
 
     sender: AgentId
     sender_version: int
-    routes: dict[AgentId, RouteEntry]
+    routes: dict[AgentId, Route]
     group_sizes: dict[AgentId, int]  # routes per sender next hop
     recipients: tuple[AgentId, ...]
     log: list[AgentId]
     extended: dict = field(default_factory=dict, compare=False, repr=False)
 
-    @property
-    def self_row(self) -> Row:
-        return (self.sender, math.inf, 0.0, 0, 0)
-
     def rows_for(self, receiver: AgentId) -> Iterator[Row]:
         """The rows of the message addressed to `receiver`, self row first."""
         if receiver != self.sender:
-            yield self.self_row
-        for dest, route in self.routes.items():
-            if route.next_hop != receiver:
-                key = route.key
+            yield (self.sender, math.inf, 0.0, 0, 0)
+        for dest, (next_hop, key) in self.routes.items():
+            if next_hop != receiver:
                 yield (dest, -key[0], key[1], key[2], key[3])
 
     def row_count_for(self, receiver: AgentId) -> int:
@@ -179,7 +171,7 @@ def _extend(
         if found is None:
             extended[dest] = (None, self_key if dest == sender else None)
             continue
-        neg_bw, delay, rank, hops = found.key
+        next_hop, (neg_bw, delay, rank, hops) = found
         if hops < hop_limit:
             key = (
                 neg_bw if neg_bw > neg_link_bw else neg_link_bw,
@@ -189,7 +181,7 @@ def _extend(
             )
         else:
             key = None
-        extended[dest] = (found.next_hop, key)
+        extended[dest] = (next_hop, key)
     return extended
 
 
@@ -214,7 +206,7 @@ class StegRouter:
         # latest hello beacon.
         self.vouched = 0
         self.last_beacon = -math.inf
-        self.routes: dict[AgentId, RouteEntry] = {}
+        self.routes: dict[AgentId, Route] = {}
         # Destinations in the order their route changed (_log) or got worse
         # or was removed (_lost).
         self._log: list[AgentId] = []
@@ -327,7 +319,7 @@ class StegRouter:
         expired = [nid for nid in self.neighbors if not self.is_up(nid, now)]
         if expired:
             dead = set(expired)
-            stale = [dest for dest, route in self.routes.items() if route.next_hop in dead]
+            stale = [dest for dest, (hop, _) in self.routes.items() if hop in dead]
             for dest in stale:
                 del self.routes[dest]
             for nid in expired:
@@ -343,16 +335,17 @@ class StegRouter:
     def build_update(self, now: float) -> Optional[UpdateBatch]:
         """Snapshot the table for one periodic emission, addressed to all
         Up neighbors.  Returns None when there is nobody to talk to."""
+        # The expiry check deletes every entry that is not Up, so every
+        # neighbor left is a recipient.
         self.expire_check(now)
-        recipients = tuple(self.up_neighbors(now))
-        if not recipients:
+        if not self.neighbors:
             return None
         return UpdateBatch(
             sender=self.agent_id,
             sender_version=len(self._log),
             routes=dict(self.routes),
             group_sizes=dict(self._via),
-            recipients=recipients,
+            recipients=tuple(self.neighbors),
             log=self._log,
         )
 
@@ -362,7 +355,7 @@ class StegRouter:
         """Apply one received table snapshot; returns True if the local
         table changed.
 
-        Rules: a candidate beating the current entry is adopted; an entry
+        Rules: a candidate beating the current route is adopted; a route
         is always overwritten by its own next hop's latest advertisement;
         destinations our current next hop stopped advertising are
         invalidated; candidates beyond the hop limit count as absent;
@@ -385,7 +378,7 @@ class StegRouter:
             dests = list(batch.routes)
             dests.append(sender)
             if via.get(sender):
-                dests.extend(dest for dest, route in routes.items() if route.next_hop == sender)
+                dests.extend(dest for dest, (hop, _) in routes.items() if hop == sender)
             extended = _extend(batch, dests, link_key, hop_limit)
         else:
             memo_key = (seen[0], link_key, hop_limit)
@@ -398,41 +391,40 @@ class StegRouter:
                 extended = {**extended, **_extend(batch, lost[seen[1] :], link_key, hop_limit)}
 
         me = self.agent_id
-        changed = False
+        version = len(log)
         for dest, (next_hop, key) in extended.items():
             if dest == me:
                 continue
             if next_hop == me:
                 key = None
             current = routes.get(dest)
-            if key is not None:
-                if current is None:
-                    adopt = True
-                elif current.next_hop == sender:
-                    cur_key = current.key
-                    adopt = key != cur_key
+            if current is None:
+                if key is not None:
+                    via[sender] = via.get(sender, 0) + 1
+                    routes[dest] = (sender, key)
+                    log.append(dest)
+                continue
+            cur_hop, cur_key = current
+            if cur_hop == sender:
+                if key is None:
+                    del routes[dest]
+                    via[sender] -= 1
+                    lost.append(dest)
+                elif key != cur_key:
+                    routes[dest] = (sender, key)
                     if key > cur_key:
                         lost.append(dest)
                 else:
-                    cur_key = current.key
-                    adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
-                if adopt:
-                    if current is None or current.next_hop != sender:
-                        if current is not None:
-                            via[current.next_hop] -= 1
-                        via[sender] = via.get(sender, 0) + 1
-                    routes[dest] = RouteEntry(sender, key)
-                    log.append(dest)
-                    changed = True
-            elif current is not None and current.next_hop == sender:
-                del routes[dest]
-                via[sender] -= 1
+                    continue
                 log.append(dest)
-                lost.append(dest)
-                changed = True
+            elif key is not None and (key < cur_key or (key == cur_key and sender < cur_hop)):
+                via[cur_hop] -= 1
+                via[sender] = via.get(sender, 0) + 1
+                routes[dest] = (sender, key)
+                log.append(dest)
 
         self._processed[sender] = (batch.sender_version, len(lost))
-        return changed
+        return len(log) != version
 
     # -- inspection ---------------------------------------------------------
 
@@ -441,11 +433,10 @@ class StegRouter:
         delay_s rank hops` line per destination, sorted by destination."""
         lines = ["dest next_hop method bottleneck_bps delay_s rank hops"]
         for dest in sorted(self.routes):
-            r = self.routes[dest]
-            key = r.key
-            method = self.neighbors[r.next_hop].best_method
+            next_hop, key = self.routes[dest]
+            method = self.neighbors[next_hop].best_method
             lines.append(
-                f"{dest} {r.next_hop} {method} {-key[0]:g} "
+                f"{dest} {next_hop} {method} {-key[0]:g} "
                 f"{key[1]:g} {key[2]} {key[3]}"
             )
         return "\n".join(lines)
@@ -472,13 +463,14 @@ def resolve_steg_path(
         if router is None:
             return None
         route = router.routes.get(destination)
-        if route is None or not router.is_up(route.next_hop, now):
+        if route is None:
             return None
-        if route.next_hop in visited:
+        next_hop = route[0]
+        if next_hop in visited or not router.is_up(next_hop, now):
             return None
-        path.append((route.next_hop, router.neighbors[route.next_hop].best_method))
-        visited.add(route.next_hop)
-        current = route.next_hop
+        path.append((next_hop, router.neighbors[next_hop].best_method))
+        visited.add(next_hop)
+        current = next_hop
     return path
 
 

@@ -246,9 +246,7 @@ class Platform:
         self._mask: dict[AgentId, int] = {}
         self._bit = {p.id: 1 << i for i, p in enumerate(config.methods)}
         self._bw_by_mask = _best_bandwidth_by_mask(self.profiles)
-        self._population_version = 0
-        self._topology: Optional[_Topology] = None
-        self._topology_version = -1
+        self._topology: Optional[_Topology] = None  # None: rebuild on next read
         self._ever_removed = False
         self._next_id = 0
         self._last_sample_t = 0.0
@@ -270,7 +268,14 @@ class Platform:
         self._rng_migrations = random.Random(f"{config.seed}:migrations")
 
         self._build_population()
-        self._schedule_initial()
+        for agent_id in self.routers:
+            self._start_timers(agent_id, 0.0, self._rng_timers)
+        if config.migration_rate > 0:
+            self.kernel.schedule(
+                self._rng_migrations.expovariate(config.migration_rate), _Ev.MIGRATE
+            )
+        if config.sampling_interval <= config.duration:
+            self.kernel.schedule(config.sampling_interval, _Ev.SAMPLE)
 
     # -- population --------------------------------------------------------
 
@@ -299,7 +304,7 @@ class Platform:
                 timers=self.config.timers,
                 hop_limit=self.config.hop_limit,
             )
-        self._population_version += 1
+        self._topology = None
 
     def remove_agent(self, agent_id: AgentId) -> None:
         """Forced departure: the agent stops all activity immediately and
@@ -319,7 +324,7 @@ class Platform:
                     del self._hellos_counted[key]
                     self.routers[peer].unvouch(agent_id, router.last_beacon)
             del self._beacons[agent_id]
-        self._population_version += 1
+        self._topology = None
         self._ever_removed = True
 
     def _spawn_replacement(self, steg: bool, now: float) -> AgentId:
@@ -329,37 +334,20 @@ class Platform:
         rng = self._rng_migrations
         self._add_agent(agent_id, derive_capabilities(rng, cfg.methods) if steg else frozenset())
         if steg:
-            self.kernel.schedule(
-                now + rng.uniform(0, cfg.timers.hello_interval), _Ev.HELLO, agent_id
-            )
-            self.kernel.schedule(
-                now + rng.uniform(0, cfg.timers.update_interval), _Ev.UPDATE, agent_id
-            )
-            self.kernel.schedule(
-                now + rng.uniform(0, cfg.discovery_interval), _Ev.DISCOVERY, agent_id
-            )
+            self._start_timers(agent_id, now, rng)
         return agent_id
 
     # -- scheduling ---------------------------------------------------------
 
-    def _schedule_initial(self) -> None:
+    def _start_timers(self, agent_id: AgentId, now: float, rng: random.Random) -> None:
+        """Schedule a new steg agent's first hello, update and discovery at
+        offsets from `now` drawn from `rng` in that order, each uniform over
+        its interval."""
         cfg = self.config
-        for agent_id in self.routers:
-            self.kernel.schedule(
-                self._rng_timers.uniform(0, cfg.timers.hello_interval), _Ev.HELLO, agent_id
-            )
-            self.kernel.schedule(
-                self._rng_timers.uniform(0, cfg.timers.update_interval), _Ev.UPDATE, agent_id
-            )
-            self.kernel.schedule(
-                self._rng_timers.uniform(0, cfg.discovery_interval), _Ev.DISCOVERY, agent_id
-            )
-        if cfg.migration_rate > 0:
-            self.kernel.schedule(
-                self._rng_migrations.expovariate(cfg.migration_rate), _Ev.MIGRATE
-            )
-        if cfg.sampling_interval <= cfg.duration:
-            self.kernel.schedule(cfg.sampling_interval, _Ev.SAMPLE)
+        schedule = self.kernel.schedule
+        schedule(now + rng.uniform(0, cfg.timers.hello_interval), _Ev.HELLO, agent_id)
+        schedule(now + rng.uniform(0, cfg.timers.update_interval), _Ev.UPDATE, agent_id)
+        schedule(now + rng.uniform(0, cfg.discovery_interval), _Ev.DISCOVERY, agent_id)
 
     # -- event loop -----------------------------------------------------------
 
@@ -539,9 +527,8 @@ class Platform:
     # -- measurement -----------------------------------------------------------
 
     def _current_topology(self) -> _Topology:
-        if self._topology_version != self._population_version:
+        if self._topology is None:
             self._topology = _build_topology(self.routers, self._mask, self._bw_by_mask)
-            self._topology_version = self._population_version
         return self._topology
 
     def _routed_pairs(self) -> int:

@@ -15,7 +15,7 @@ from collections import Counter
 
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
-from stegrouter.router import RouteEntry, RouterTimers, StegRouter
+from stegrouter.router import RouterTimers, StegRouter
 from stegrouter.sim import Platform, _Ev
 
 DEFAULT_TABLE = method_table(DEFAULT_METHODS)
@@ -95,26 +95,27 @@ def reference_process_update(router, batch, now):
         current = routes.get(dest)
         if current is None:
             adopt = True
-        elif current.next_hop == sender:
-            adopt = key != current.key
         else:
-            cur_key = current.key
-            adopt = key < cur_key or (key == cur_key and sender < current.next_hop)
+            cur_hop, cur_key = current
+            if cur_hop == sender:
+                adopt = key != cur_key
+            else:
+                adopt = key < cur_key or (key == cur_key and sender < cur_hop)
         if adopt:
-            routes[dest] = RouteEntry(sender, key)
+            routes[dest] = (sender, key)
             log.append(dest)
 
     withdrawn = [
         dest
-        for dest, route in routes.items()
-        if route.next_hop == sender and dest not in advertised
+        for dest, (next_hop, _) in routes.items()
+        if next_hop == sender and dest not in advertised
     ]
     for dest in withdrawn:
         del routes[dest]
         log.append(dest)
     # the per-next-hop route counts that build_update and expire_check read,
     # recounted from the routes
-    router._via = dict(Counter(route.next_hop for route in routes.values()))
+    router._via = dict(Counter(next_hop for next_hop, _ in routes.values()))
     return len(log) != version
 
 
@@ -153,8 +154,8 @@ def protocol_tables(routers):
     tuples, oracle-comparable."""
     return {
         agent_id: {
-            dest: (-route.key[0],) + route.key[1:]
-            for dest, route in router.routes.items()
+            dest: (-key[0],) + key[1:]
+            for dest, (_, key) in router.routes.items()
         }
         for agent_id, router in routers.items()
     }

@@ -12,6 +12,8 @@ import tracemalloc
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from stegrouter.anonymity import (
     ENTROPY_CSV_COLUMNS,
@@ -118,6 +120,20 @@ class TestEscapeProbability:
             series = math.fsum(
                 q ** i * (n - c) * (1.0 - p_f) / n for i in range(10_001))
             assert abs(escape_probability(scenario(n, c, p_f)) - series) < 1e-9
+
+    @given(st.integers(2, 10**9).flatmap(
+               lambda n: st.tuples(st.just(n), st.one_of(st.just(n), st.integers(0, n)))),
+           st.one_of(st.just(0.9999999999999999), st.floats(0.0, 1.0, exclude_max=True)))
+    @example((2, 2), 0.9999999999999999)
+    @example((2, 0), 0.9999999999999999)
+    @example((10**9, 10**9), 0.9999999999999999)
+    @example((10**9, 1), 0.9999999999999999)
+    def test_valid_domain_never_raises_and_stays_in_unit_interval(self, n_c, p_f):
+        # the denominator N - p_f(N - C) is at least max(C, N(1 - p_f)) > 0
+        # over the whole domain AdversaryScenario accepts, C = N included;
+        # 0.9999999999999999 is the largest float below 1
+        n, c = n_c
+        assert 0.0 <= escape_probability(scenario(n, c, p_f)) <= 1.0
 
 
 class TestStaticEntropy:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
 from stegrouter.router import (
-    RouteEntry,
     RouterTimers,
     StegRouter,
     best_method_on_link,
@@ -44,14 +43,14 @@ def route_heard(adverts, order=None):
     """Receiver 1 hears senders over internet links (300 kbps, no delay,
     rank 1), each advertising destination 9 with the wire row (bottleneck,
     delay, rank, hops) in `adverts`; tables are processed in `order`.
-    Returns the receiver's route to 9."""
+    Returns the receiver's route to 9 as (next hop, key)."""
     receiver = fresh_router(1)
     for sender_id in order or sorted(adverts):
         sender = fresh_router(sender_id)
         sender.ingest_discovery(1, receiver.capabilities, 0.0)
         receiver.ingest_discovery(sender_id, sender.capabilities, 0.0)
         bw, delay, rank, hops = adverts[sender_id]
-        sender.routes[9] = RouteEntry(8, (-bw, delay, rank, hops))
+        sender.routes[9] = (8, (-bw, delay, rank, hops))
         sender._via[8] = 1  # the route count that build_update copies
         receiver.process_update(sender.build_update(0.0), 0.0)
     return receiver.routes[9]
@@ -75,9 +74,9 @@ class TestLinkMetrics:
         # uses image and image's one-hop metric
         routers = converge({1: frozenset({"internet", "image"}),
                             2: frozenset({"image", "audio"})})
-        route = routers[1].routes[2]
-        assert routers[1].neighbors[route.next_hop].best_method == "image"
-        assert route.key == (-100, 0.0, PROFILES["image"].preference_rank, 1)
+        next_hop, key = routers[1].routes[2]
+        assert routers[1].neighbors[next_hop].best_method == "image"
+        assert key == (-100, 0.0, PROFILES["image"].preference_rank, 1)
 
     def test_best_method_prefers_bandwidth(self):
         assert best_method_on_link({"image", "audio"}, PROFILES) == "image"
@@ -98,10 +97,10 @@ class TestMetricOrder:
 
     def assert_better(self, better, worse):
         for order in ((2, 3), (3, 2)):
-            assert route_heard({2: better, 3: worse}, order).next_hop == 2
-            assert route_heard({2: worse, 3: better}, order).next_hop == 3
+            assert route_heard({2: better, 3: worse}, order)[0] == 2
+            assert route_heard({2: worse, 3: better}, order)[0] == 3
         bw, delay, rank, hops = better
-        assert route_heard({2: better, 3: worse}).key == (-bw, delay, rank, hops + 1)
+        assert route_heard({2: better, 3: worse}) == (2, (-bw, delay, rank, hops + 1))
 
     def test_capacity_dominates(self):
         self.assert_better((200, 0.0, 2, 3), (100, 0.0, 2, 3))
@@ -119,9 +118,7 @@ class TestMetricOrder:
         # equal candidates: the lower next-hop id wins in either order
         same = (80, 1.0, 6, 4)
         for order in ((2, 3), (3, 2)):
-            route = route_heard({2: same, 3: same}, order)
-            assert route.next_hop == 2
-            assert route.key == (-80, 1.0, 6, 5)
+            assert route_heard({2: same, 3: same}, order) == (2, (-80, 1.0, 6, 5))
 
 
 # Chains of one distinct method per link, with exactly representable delays.
@@ -150,8 +147,8 @@ class TestMetricCombine:
 
     def test_join_example(self):
         # an internet hop (300 kbps, rank 1) joined to a 100 bps rank-3 hop
-        route = route_heard({2: (100, 0.0, 3, 1)})
-        assert route.key == (-100, 0.0, 3, 2)
+        _, key = route_heard({2: (100, 0.0, 3, 1)})
+        assert key == (-100, 0.0, 3, 2)
 
     def test_zero_metric_is_identity(self):
         # the self row (inf, 0, 0, 0) joined to a link is that link alone:
@@ -163,7 +160,7 @@ class TestMetricCombine:
             a.ingest_discovery(2, b.capabilities, 0.0)
             b.ingest_discovery(1, a.capabilities, 0.0)
             a.process_update(b.build_update(0.0), 0.0)
-            assert a.routes[2].key == a.neighbors[2].link_key == (
+            assert a.routes[2][1] == a.neighbors[2].link_key == (
                 -profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1)
 
     @given(LINKS)
@@ -174,13 +171,13 @@ class TestMetricCombine:
         routers, methods = chain(links)
         one_hop = [(-m.bandwidth_bps, m.delay_s, m.preference_rank, 1) for m in methods]
         for k in range(1, len(links) + 1):
-            whole = routers[0].routes[k].key
+            whole = routers[0].routes[k][1]
             folded = one_hop[0]
             for link_key in one_hop[1:k]:
                 folded = join(folded, link_key)
             assert whole == folded
             for j in range(1, k):
-                assert whole == join(routers[0].routes[j].key, routers[j].routes[k].key)
+                assert whole == join(routers[0].routes[j][1], routers[j].routes[k][1])
 
     def test_joining_never_improves(self):
         # at the fixed point every route is its first link joined to the
@@ -189,10 +186,8 @@ class TestMetricCombine:
         for seed in range(8):
             routers = converge(random_population(seed, max_agents=12))
             for agent, router in routers.items():
-                for dest, route in router.routes.items():
-                    hop = route.next_hop
-                    rest = (-math.inf, 0.0, 0, 0) if hop == dest else routers[hop].routes[dest].key
-                    key = route.key
+                for dest, (hop, key) in router.routes.items():
+                    rest = (-math.inf, 0.0, 0, 0) if hop == dest else routers[hop].routes[dest][1]
                     assert key == join(router.neighbors[hop].link_key, rest)
                     assert key[0] >= rest[0] and key[1] >= rest[1]
                     assert key[2] >= rest[2] and key[3] == rest[3] + 1
@@ -316,7 +311,7 @@ class TestBuildUpdate:
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         batch = r.build_update(0.0)
         assert batch.recipients == (2,)
-        assert batch.self_row == (1, math.inf, 0.0, 0, 0)
+        assert list(batch.rows_for(2)) == [(1, math.inf, 0.0, 0, 0)]
         assert batch.row_count_for(2) == 1
         assert MessageSizes().update_payload(batch.row_count_for(2)) == 40
 
@@ -382,9 +377,7 @@ class TestProcessUpdate:
     def test_install_into_empty_table(self):
         a, b = self.two_routers()
         assert a.process_update(b.build_update(0.0), now=0.0) is True
-        route = a.routes[2]
-        assert route.next_hop == 2
-        assert route.key == (-300000, 0.0, 1, 1)
+        assert a.routes[2] == (2, (-300000, 0.0, 1, 1))
         assert a.neighbors[2].best_method == "internet"
 
     def test_never_routes_to_self(self):
@@ -416,18 +409,16 @@ class TestProcessUpdate:
         routers = converge({1: frozenset({"internet"}),
                             2: frozenset({"internet", "text"}),
                             3: frozenset({"text"})})
-        route = routers[1].routes[3]
-        assert route.key == (-80, 0.0, PROFILES["text"].preference_rank, 2)
-        assert route.next_hop == 2
+        assert routers[1].routes[3] == (2, (-80, 0.0, PROFILES["text"].preference_rank, 2))
 
     def test_worse_candidate_leaves_table_unchanged(self):
         # 1 has a direct internet link to 3 and a text detour via 2
         routers = converge({1: frozenset({"internet", "text"}),
                             2: frozenset({"text"}),
                             3: frozenset({"internet", "text"})})
-        route = routers[1].routes[3]
-        assert route.next_hop == 3
-        assert route.key[0] == -300000
+        next_hop, key = routers[1].routes[3]
+        assert next_hop == 3
+        assert key[0] == -300000
 
     def test_equal_paths_prefer_lower_next_hop_id(self):
         # relays 2 and 3 offer identical image+audio two-hop paths 1 -> 4;
@@ -436,8 +427,7 @@ class TestProcessUpdate:
                             2: frozenset({"image", "audio"}),
                             3: frozenset({"image", "audio"}),
                             4: frozenset({"audio"})})
-        route = routers[1].routes[4]
-        assert route.next_hop == 2
+        assert routers[1].routes[4][0] == 2
 
     def test_withdrawal_removes_destination(self):
         a, b = self.two_routers()
@@ -493,8 +483,7 @@ class TestProcessUpdate:
                     if recipient in routers:
                         routers[recipient].process_update(batch, 16.0)
         assert 3 not in routers[1].routes
-        assert all(routers[1].routes[d].key[3] <= 32
-                   for d in routers[1].routes)
+        assert all(key[3] <= 32 for _, key in routers[1].routes.values())
 
 
 class TestResolvePath:

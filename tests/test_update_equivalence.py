@@ -10,8 +10,9 @@ routes (next hop, key), the same table versions, and every call must
 have returned the same value.  In both copies each router's kept count
 of routes per next hop must also equal a count made from scratch, every
 route's next hop must have a neighbor entry (which holds the method of
-the route's first link), and every message of every batch built must
-have as many rows as `row_count_for` says.
+the route's first link), every message of every batch built must have
+as many rows as `row_count_for` says, and every batch must be addressed
+to exactly the sender's neighbor entries, each of them Up.
 
 Steps cover what the simulator does and the orders it never produces:
 periodic emission to all Up neighbors or to one of them, a past batch
@@ -86,9 +87,14 @@ class Network:
         """Apply one step; returns everything the routers returned."""
         ids, routers = self.ids, self.routers
         if kind in ("emit", "emit_one"):
-            batch = routers[ids[a % len(ids)]].build_update(self.now)
+            sender = routers[ids[a % len(ids)]]
+            batch = sender.build_update(self.now)
             if batch is None:
                 return None
+            # the expiry check of build_update left only Up neighbors, and
+            # the batch addresses every one of them
+            assert batch.recipients == tuple(sender.neighbors)
+            assert all(sender.is_up(r, self.now) for r in batch.recipients)
             self.history.append(batch)
             recipients = batch.recipients
             if kind == "emit_one":
@@ -129,7 +135,7 @@ class Network:
         `batches_before` count their rows right."""
         for router in self.routers.values():
             kept = {hop: count for hop, count in router._via.items() if count}
-            assert kept == Counter(route.next_hop for route in router.routes.values())
+            assert kept == Counter(next_hop for next_hop, _ in router.routes.values())
             assert set(kept) <= set(router.neighbors)
         for batch in self.history[batches_before:]:
             for recipient in batch.recipients:
@@ -137,13 +143,7 @@ class Network:
 
     def state(self):
         return {
-            agent_id: (
-                router.table_version,
-                {
-                    dest: (route.next_hop, route.key)
-                    for dest, route in router.routes.items()
-                },
-            )
+            agent_id: (router.table_version, dict(router.routes))
             for agent_id, router in self.routers.items()
         }
 
@@ -203,6 +203,15 @@ def incremental(router, batch, now):
     32,
     [("lose", 39, 21), ("emit", 10, 0), ("redeliver", 48, 10), ("emit", 19, 57),
      ("redeliver", 15, 2)],
+))
+# A link silenced past its hold time with no expiry check before the next
+# emission: the emission's own expiry check must delete the stale entry
+# before the batch is addressed to every neighbor entry left.
+@example((
+    method_table(DEFAULT_METHODS),
+    {0: frozenset({"internet"}), 1: frozenset({"internet"}), 2: frozenset({"internet"})},
+    32,
+    [("silence", 0, 0), ("tick", 2, 0), ("tick", 2, 0), ("emit", 0, 0)],
 ))
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
