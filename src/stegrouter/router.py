@@ -54,7 +54,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
-from typing import Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from .core import AgentId, StegMethodId, StegMethodProfile
 
@@ -113,10 +113,12 @@ Route = tuple[AgentId, Key]
 Row = tuple[AgentId, float, float, int, int]
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class UpdateBatch:
-    """Immutable snapshot of a router's table, shared by the per-neighbor
-    update messages of one emission.
+    """Snapshot of a router's table, shared by the per-neighbor update
+    messages of one emission.  It is a snapshot by convention: nothing
+    changes its fields after `build_update` made it, but the class is not
+    frozen, because frozen construction costs about four times as much.
 
     `routes` is a copy of the sender's route table; with the sender's self
     row in front, it is what the wire carries, and the message addressed
@@ -288,14 +290,16 @@ class StegRouter:
             entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time
         )
 
-    def up_neighbors(self, now: float) -> list[AgentId]:
+    def up_neighbors(self, now: float) -> Collection[AgentId]:
         """The Up neighbors in the order their entries were made; an entry
-        no longer Up stays until the next `expire_check` deletes it."""
+        no longer Up stays until the next `expire_check` deletes it.  When
+        every neighbor is vouched for, this is a view of the neighbor
+        table, not a copy, valid until the table changes."""
         if self.vouched == len(self.neighbors):
-            return list(self.neighbors)
+            return self.neighbors.keys()
         return [nid for nid in self.neighbors if self.is_up(nid, now)]
 
-    def hello_tick(self, now: float) -> list[AgentId]:
+    def hello_tick(self, now: float) -> Collection[AgentId]:
         """One beat of the liveness beacon: records `now` as this router's
         latest beacon and returns the addressees of this interval's hello,
         i.e. every Up neighbor.  A hello carries no payload beyond the
@@ -364,9 +368,11 @@ class StegRouter:
         last processed table (see the module docstring).
         """
         sender = batch.sender
-        if not self.is_up(sender, now):
+        entry = self.neighbors.get(sender)  # `is_up`, with one lookup
+        if entry is None or not (
+            entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time
+        ):
             return False
-        entry = self.neighbors[sender]
         routes = self.routes
         log = self._log
         lost = self._lost
@@ -380,6 +386,8 @@ class StegRouter:
             if via.get(sender):
                 dests.extend(dest for dest, (hop, _) in routes.items() if hop == sender)
             extended = _extend(batch, dests, link_key, hop_limit)
+        elif seen[0] == batch.sender_version and seen[1] == len(lost):
+            return False  # nothing settled before can have changed since
         else:
             memo_key = (seen[0], link_key, hop_limit)
             extended = batch.extended.get(memo_key)
@@ -417,7 +425,10 @@ class StegRouter:
                 else:
                     continue
                 log.append(dest)
-            elif key is not None and (key < cur_key or (key == cur_key and sender < cur_hop)):
+            # Adopt when key < cur_key, or key == cur_key and sender < cur_hop,
+            # written so that a losing candidate (the common case) costs one
+            # tuple comparison.
+            elif key is not None and key <= cur_key and (sender < cur_hop or key != cur_key):
                 via[cur_hop] -= 1
                 via[sender] = via.get(sender, 0) + 1
                 routes[dest] = (sender, key)

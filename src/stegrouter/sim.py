@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import heapq
 import io
 import json
 import math
@@ -23,6 +22,8 @@ from collections import Counter
 from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import IntEnum
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 
 from .core import (
@@ -194,22 +195,28 @@ class _Ev(IntEnum):
     SAMPLE = 6
 
 
+# The tags as module globals, so that the event path compares identities
+# instead of loading class attributes and comparing IntEnums.  Events carry
+# the `_Ev` members themselves, which name them.
+_WALK_DELIVER, _HELLO, _UPDATE = _Ev.WALK_DELIVER, _Ev.HELLO, _Ev.UPDATE
+_DISCOVERY, _MIGRATE, _SAMPLE = _Ev.DISCOVERY, _Ev.MIGRATE, _Ev.SAMPLE
+
+
 class EventKernel:
     """Priority queue of timed events; ties resolve by insertion order."""
 
     def __init__(self) -> None:
         self._heap: list = []
-        self._seq = 0
+        self._seq = count()  # insertion order, the tie-breaker
         self.now = 0.0
 
-    def schedule(self, time: float, tag: int, a=None, b=None) -> None:
-        heapq.heappush(self._heap, (time, self._seq, tag, a, b))
-        self._seq += 1
+    def schedule(self, time: float, tag: _Ev, a=None, b=None) -> None:
+        heappush(self._heap, (time, next(self._seq), tag, a, b))
 
     def run_until(self, until: float, dispatch: Callable) -> None:
         heap = self._heap
         while heap and heap[0][0] <= until:
-            time, _, tag, a, b = heapq.heappop(heap)
+            time, _, tag, a, b = heappop(heap)
             self.now = time
             dispatch(tag, a, b, time)
         self.now = until
@@ -272,10 +279,10 @@ class Platform:
             self._start_timers(agent_id, 0.0, self._rng_timers)
         if config.migration_rate > 0:
             self.kernel.schedule(
-                self._rng_migrations.expovariate(config.migration_rate), _Ev.MIGRATE
+                self._rng_migrations.expovariate(config.migration_rate), _MIGRATE
             )
         if config.sampling_interval <= config.duration:
-            self.kernel.schedule(config.sampling_interval, _Ev.SAMPLE)
+            self.kernel.schedule(config.sampling_interval, _SAMPLE)
 
     # -- population --------------------------------------------------------
 
@@ -304,7 +311,7 @@ class Platform:
                 timers=self.config.timers,
                 hop_limit=self.config.hop_limit,
             )
-        self._topology = None
+            self._topology = None  # the topology counts steg agents only
 
     def remove_agent(self, agent_id: AgentId) -> None:
         """Forced departure: the agent stops all activity immediately and
@@ -324,7 +331,7 @@ class Platform:
                     del self._hellos_counted[key]
                     self.routers[peer].unvouch(agent_id, router.last_beacon)
             del self._beacons[agent_id]
-        self._topology = None
+            self._topology = None
         self._ever_removed = True
 
     def _spawn_replacement(self, steg: bool, now: float) -> AgentId:
@@ -345,9 +352,9 @@ class Platform:
         its interval."""
         cfg = self.config
         schedule = self.kernel.schedule
-        schedule(now + rng.uniform(0, cfg.timers.hello_interval), _Ev.HELLO, agent_id)
-        schedule(now + rng.uniform(0, cfg.timers.update_interval), _Ev.UPDATE, agent_id)
-        schedule(now + rng.uniform(0, cfg.discovery_interval), _Ev.DISCOVERY, agent_id)
+        schedule(now + rng.uniform(0, cfg.timers.hello_interval), _HELLO, agent_id)
+        schedule(now + rng.uniform(0, cfg.timers.update_interval), _UPDATE, agent_id)
+        schedule(now + rng.uniform(0, cfg.discovery_interval), _DISCOVERY, agent_id)
 
     # -- event loop -----------------------------------------------------------
 
@@ -358,18 +365,18 @@ class Platform:
     def run_until(self, until: float) -> None:
         self.kernel.run_until(until, self._dispatch)
 
-    def _dispatch(self, tag: int, a, b, now: float) -> None:
-        if tag == _Ev.HELLO:
+    def _dispatch(self, tag: _Ev, a, b, now: float) -> None:
+        if tag is _HELLO:
             self._on_hello(a, now)
-        elif tag == _Ev.UPDATE:
+        elif tag is _UPDATE:
             self._on_update(a, now)
-        elif tag == _Ev.DISCOVERY:
+        elif tag is _DISCOVERY:
             self._on_discovery(a, now)
-        elif tag == _Ev.WALK_DELIVER:
+        elif tag is _WALK_DELIVER:
             self._on_walk_deliver(a, b, now)
-        elif tag == _Ev.SAMPLE:
+        elif tag is _SAMPLE:
             self._on_sample(now)
-        elif tag == _Ev.MIGRATE:
+        elif tag is _MIGRATE:
             self._on_migrate(now)
 
     # -- accounting -----------------------------------------------------------
@@ -428,14 +435,34 @@ class Platform:
         key = (a, b) if a < b else (b, a)
         self._hellos_counted[key] = self._beacons[a] + self._beacons[b]
 
-    def _deliver_update(self, batch: UpdateBatch, recipient: AgentId, now: float) -> None:
-        """Account the message of `batch` addressed to `recipient`, then
-        have the recipient apply it if it is still alive."""
-        payload = self.config.sizes.update_payload(batch.row_count_for(recipient))
-        self._send("routing_update", batch.sender, recipient, payload)
-        peer = self.routers.get(recipient)
-        if peer is not None:
-            peer.process_update(batch, now)
+    def _emit(self, batch: UpdateBatch, recipients: Collection[AgentId], now: float) -> None:
+        """Send `batch` to each of `recipients` in order: account the
+        message addressed to it as `_send` would, then have the recipient
+        apply it if it is still alive.  The payload is
+        `sizes.update_payload(batch.row_count_for(recipient))`, written
+        out."""
+        sizes = self.config.sizes
+        header, per_row = sizes.update_header, sizes.update_entry
+        rows = 1 + len(batch.routes)
+        group_sizes = batch.group_sizes
+        sender = batch.sender
+        routers = self.routers
+        win = self._win_link_bits
+        trace = self._trace
+        nbytes = 0
+        for recipient in recipients:
+            payload = header + per_row * (rows - group_sizes.get(recipient, 0))
+            nbytes += payload
+            key = (sender, recipient) if sender < recipient else (recipient, sender)
+            win[key] = win.get(key, 0) + payload * 8
+            if trace is not None:
+                trace(now, "routing_update", sender, recipient, 1, payload)
+            peer = routers.get(recipient)
+            if peer is not None:
+                peer.process_update(batch, now)
+        totals = self._totals["routing_update"]
+        totals[0] += len(recipients)
+        totals[1] += nbytes
 
     # -- event handlers ---------------------------------------------------------
 
@@ -448,13 +475,14 @@ class Platform:
         if router is None:
             return
         up = router.hello_tick(now)
+        n_up = len(up)
         hello_bytes = self.config.sizes.hello
         totals = self._totals["hello"]
-        totals[0] += len(up)
-        totals[1] += len(up) * hello_bytes
+        totals[0] += n_up
+        totals[1] += n_up * hello_bytes
         self._beacons[agent_id] += 1
         trace = self._trace
-        if len(up) != router.vouched or trace is not None:
+        if n_up != router.vouched or trace is not None:
             neighbors = router.neighbors
             win = self._win_link_bits
             for neighbor in up:
@@ -463,7 +491,7 @@ class Platform:
                 if not neighbors[neighbor].peer_alive:
                     key = (agent_id, neighbor) if agent_id < neighbor else (neighbor, agent_id)
                     win[key] = win.get(key, 0) + hello_bytes * 8
-        self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
+        self.kernel.schedule(now + self.config.timers.hello_interval, _HELLO, agent_id)
 
     def _on_update(self, agent_id: AgentId, now: float) -> None:
         router = self.routers.get(agent_id)
@@ -471,9 +499,8 @@ class Platform:
             return
         batch = router.build_update(now)
         if batch is not None:
-            for recipient in batch.recipients:
-                self._deliver_update(batch, recipient, now)
-        self.kernel.schedule(now + self.config.timers.update_interval, _Ev.UPDATE, agent_id)
+            self._emit(batch, batch.recipients, now)
+        self.kernel.schedule(now + self.config.timers.update_interval, _UPDATE, agent_id)
 
     def _on_discovery(self, agent_id: AgentId, now: float) -> None:
         if agent_id not in self.routers:
@@ -483,9 +510,9 @@ class Platform:
             path = run_walk(agent_id, cfg.p_f, self._alive, self._rng_walks)
             hops = len(path) - 1
             self.kernel.schedule(
-                now + hops * cfg.walk_hop_latency, _Ev.WALK_DELIVER, path[-1], (agent_id, hops)
+                now + hops * cfg.walk_hop_latency, _WALK_DELIVER, path[-1], (agent_id, hops)
             )
-        self.kernel.schedule(now + cfg.discovery_interval, _Ev.DISCOVERY, agent_id)
+        self.kernel.schedule(now + cfg.discovery_interval, _DISCOVERY, agent_id)
 
     def _on_walk_deliver(self, holder: AgentId, origin_hops, now: float) -> None:
         originator, hops = origin_hops
@@ -502,7 +529,7 @@ class Platform:
         for router, dest in ((receiver, originator), (origin, holder)):
             batch = router.build_update(now)
             if batch is not None:
-                self._deliver_update(batch, dest, now)
+                self._emit(batch, (dest,), now)
 
     def _on_migrate(self, now: float) -> None:
         victim = self._alive[self._rng_migrations.randrange(len(self._alive))]
@@ -510,7 +537,7 @@ class Platform:
         self.remove_agent(victim)
         self._spawn_replacement(steg, now)
         self.kernel.schedule(
-            now + self._rng_migrations.expovariate(self.config.migration_rate), _Ev.MIGRATE
+            now + self._rng_migrations.expovariate(self.config.migration_rate), _MIGRATE
         )
 
     def _on_sample(self, now: float) -> None:
@@ -522,7 +549,7 @@ class Platform:
         self._last_sample_t = now
         next_t = now + self.config.sampling_interval
         if next_t <= self.config.duration:
-            self.kernel.schedule(next_t, _Ev.SAMPLE)
+            self.kernel.schedule(next_t, _SAMPLE)
 
     # -- measurement -----------------------------------------------------------
 

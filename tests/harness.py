@@ -16,7 +16,7 @@ from collections import Counter
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
 from stegrouter.router import RouterTimers, StegRouter
-from stegrouter.sim import Platform, _Ev
+from stegrouter.sim import EventKernel, Platform, _Ev, run
 
 DEFAULT_TABLE = method_table(DEFAULT_METHODS)
 
@@ -140,6 +140,56 @@ class ReferencePlatform(Platform):
             if peer is not None:
                 peer.receive_hello(agent_id, now)
         self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
+
+
+def layer_counts(cfg):
+    """Run `cfg` once and count what the benchmark's tracer counts, by
+    wrapping the same class attributes: `process_update` calls, the rows
+    of their messages (`batch.row_count_for(receiver)`) and the calls that
+    changed the table; `hello_tick`, `build_update` and `expire_check`
+    calls; and dispatched events per `_Ev` name.  A speed-up that binds a
+    method at import, skips a call or schedules tags without a name
+    changes these counts."""
+    counts = Counter()
+    originals = {
+        (StegRouter, name): getattr(StegRouter, name)
+        for name in ("process_update", "hello_tick", "build_update", "expire_check")
+    }
+    originals[EventKernel, "run_until"] = EventKernel.run_until
+
+    def process_update(router, batch, now):
+        changed = originals[StegRouter, "process_update"](router, batch, now)
+        counts["process_update.calls"] += 1
+        counts["process_update.rows"] += batch.row_count_for(router.agent_id)
+        counts["process_update.changed"] += bool(changed)
+        return changed
+
+    def call_counter(name):
+        original = originals[StegRouter, name]
+
+        def counted(*args, **kwargs):
+            counts[f"{name}.calls"] += 1
+            return original(*args, **kwargs)
+
+        return counted
+
+    def run_until(kernel, until, dispatch):
+        def counted(tag, a, b, now):
+            counts["events." + tag.name.lower()] += 1
+            dispatch(tag, a, b, now)
+
+        return originals[EventKernel, "run_until"](kernel, until, counted)
+
+    StegRouter.process_update = process_update
+    for name in ("hello_tick", "build_update", "expire_check"):
+        setattr(StegRouter, name, call_counter(name))
+    EventKernel.run_until = run_until
+    try:
+        run(cfg)
+    finally:
+        for (owner, name), original in originals.items():
+            setattr(owner, name, original)
+    return dict(sorted(counts.items()))
 
 
 def converge(capabilities, profiles=DEFAULT_TABLE, hop_limit=32):

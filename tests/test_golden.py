@@ -3,8 +3,11 @@
 Each report digest is the SHA-256 of `"\\n".join(run_report_lines(run(cfg)))`.
 Each trace digest is the SHA-256 of every `TraceFn` call of `run(cfg, trace)`,
 one `repr` of its argument tuple per line, so the order of the calls counts.
+Each set of layer counts is what `harness.layer_counts` counts over one
+run: the calls into the router and the dispatched events by kind, which
+the benchmark's tracer reads through the same class attributes.
 A change to the simulator that is meant to keep its behaviour (a speed-up,
-a refactor) must leave every digest as it is.  A change that moves the
+a refactor) must leave every digest and every count as it is.  A change that moves the
 bytes on purpose updates the digests here and names the change in
 CHANGES.md.
 """
@@ -15,7 +18,7 @@ import pytest
 
 from stegrouter.sim import SimConfig, run, run_report_lines
 
-from harness import dyadic_delay_methods
+from harness import dyadic_delay_methods, layer_counts
 
 GOLDEN = {
     "n250-seed1": (
@@ -70,3 +73,46 @@ def test_trace_digest_is_pinned(name):
 
     run(cfg, trace=trace)
     assert digest.hexdigest() == expected
+
+
+LAYER_COUNTS = {
+    "n250-seed1": (
+        SimConfig(seed=1),
+        {
+            "build_update.calls": 1858,
+            "events.discovery": 4500,
+            "events.hello": 9000,
+            "events.sample": 180,
+            "events.update": 1500,
+            "events.walk_deliver": 4500,
+            "expire_check.calls": 6358,
+            "hello_tick.calls": 9000,
+            "process_update.calls": 14111,
+            "process_update.changed": 943,
+            "process_update.rows": 314412,
+        },
+    ),
+    "n250-churn-seed1": (
+        SimConfig(migration_rate=1 / 60, seed=1),
+        {
+            "build_update.calls": 1877,
+            "events.discovery": 4505,
+            "events.hello": 9002,
+            "events.migrate": 30,
+            "events.sample": 180,
+            "events.update": 1504,
+            "events.walk_deliver": 4502,
+            "expire_check.calls": 6377,
+            "hello_tick.calls": 8999,
+            "process_update.calls": 13483,
+            "process_update.changed": 1550,
+            "process_update.rows": 298735,
+        },
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(LAYER_COUNTS))
+def test_layer_counts_are_pinned(name):
+    cfg, expected = LAYER_COUNTS[name]
+    assert layer_counts(cfg) == expected

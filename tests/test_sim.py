@@ -13,8 +13,9 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stegrouter import sim
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
-from stegrouter.router import RouterTimers, best_method_on_link
+from stegrouter.router import RouterTimers, StegRouter, best_method_on_link
 from stegrouter.cli import PRESETS
 from stegrouter.sim import (
     SUMMARY_CSV_COLUMNS,
@@ -164,6 +165,47 @@ class TestAccounting:
             msgs = sum(e[4] for e in events if e[1] == kind)
             nbytes = sum(e[5] for e in events if e[1] == kind)
             assert report.totals[kind] == {"messages": msgs, "bytes": nbytes}
+
+    def test_emission_accounts_each_message_and_delivers_to_the_alive(self, monkeypatch):
+        # 5 text-only SAs; the first links to the other four and learns
+        # routes through two of them, so its group sizes, and with them
+        # the payloads, differ by recipient
+        rows = []
+        platform = Platform(SimConfig(n_agents=50, duration=60.0, methods=TEXT_ONLY, seed=1),
+                            trace=lambda *row: rows.append(row))
+        sender, *peers = sorted(platform.routers)
+        for peer in peers:
+            platform.form_link(sender, peer, 0.0)
+        for peer in peers[:2]:
+            platform._emit(platform.routers[peer].build_update(0.0), (sender,), 0.0)
+        batch = platform.routers[sender].build_update(1.0)
+        assert batch.recipients == tuple(peers)
+        departed = peers[2]
+        platform.remove_agent(departed)
+        processed = []
+        original = StegRouter.process_update
+
+        def recording(router, batch, now):
+            processed.append(router.agent_id)
+            return original(router, batch, now)
+
+        monkeypatch.setattr(StegRouter, "process_update", recording)
+        payloads = {r: platform.config.sizes.update_payload(batch.row_count_for(r))
+                    for r in batch.recipients}
+        assert len(set(payloads.values())) > 1
+        totals = list(platform._totals["routing_update"])
+        window = dict(platform._win_link_bits)
+        del rows[:]
+
+        platform._emit(batch, batch.recipients, 1.0)
+
+        assert platform._totals["routing_update"] == [
+            totals[0] + len(peers), totals[1] + sum(payloads.values())]
+        for r, payload in payloads.items():
+            key = (min(sender, r), max(sender, r))
+            assert platform._win_link_bits[key] == window.get(key, 0) + 8 * payload
+        assert rows == [(1.0, "routing_update", sender, r, 1, payloads[r]) for r in peers]
+        assert processed == [r for r in peers if r != departed]
 
     def test_fixed_size_message_identities(self):
         cfg = SimConfig(duration=300.0, n_agents=50, methods=TEXT_ONLY, seed=2)
@@ -452,6 +494,21 @@ def components_by_bfs(masks):
 
 
 class TestTopology:
+    def test_rebuilt_only_when_the_steg_agents_change(self, monkeypatch):
+        # ordinary agents leave and join far more often than steg agents,
+        # and the topology counts steg agents only
+        seen = []
+        build = sim._build_topology
+
+        def recording(alive_sas, mask, bw_by_mask):
+            seen.append(list(alive_sas))
+            return build(alive_sas, mask, bw_by_mask)
+
+        monkeypatch.setattr(sim, "_build_topology", recording)
+        run(SimConfig(n_agents=250, seed=1, migration_rate=0.0166667))
+        assert len(seen) > 1
+        assert all(before != after for before, after in zip(seen, seen[1:]))
+
     @given(sa_populations(), st.booleans(), st.randoms(use_true_random=False))
     @settings(max_examples=300, deadline=None)
     @example((3, [0b001, 0b010, 0b100]), False, random.Random(0))  # three isolated single-method SAs
