@@ -48,6 +48,9 @@ skipping its own id, split horizon, the adopt/overwrite/withdraw rule, and
 the destinations of its own loss log, extended on their own.  The router
 also keeps its number of routes per next hop as the table changes, so an
 emission copies the split-horizon group sizes instead of counting them.
+Route keys take few distinct values, so each router extends a key by a
+link once, in its own table per (link key, hop limit), and looks it up
+after that.
 """
 from __future__ import annotations
 
@@ -152,41 +155,6 @@ class UpdateBatch:
         return 1 + len(self.routes) - self.group_sizes.get(receiver, 0)
 
 
-def _extend(
-    batch: UpdateBatch, dests: Iterable[AgentId], link_key: Key, hop_limit: int
-) -> dict[AgentId, tuple[Optional[AgentId], Optional[Key]]]:
-    """The sender's candidate for each destination as a receiver over a
-    link with `link_key` sees it: dest -> (the sender's next hop, or None
-    for its self row and for rows it does not have; the key extended by
-    the link, or None when the sender does not advertise the destination
-    or the path would exceed the hop limit).  Split horizon depends on the
-    receiver and is left to it."""
-    neg_link_bw, link_delay, link_rank, _ = link_key
-    sender = batch.sender
-    sent = batch.routes
-    # The sender's self row (infinite bandwidth, no delay, rank 0, 0 hops)
-    # extended by the link.
-    self_key = (neg_link_bw, 0.0 + link_delay, link_rank, 1)
-    extended = {}
-    for dest in dests:
-        found = sent.get(dest)
-        if found is None:
-            extended[dest] = (None, self_key if dest == sender else None)
-            continue
-        next_hop, (neg_bw, delay, rank, hops) = found
-        if hops < hop_limit:
-            key = (
-                neg_bw if neg_bw > neg_link_bw else neg_link_bw,
-                delay + link_delay,
-                rank if rank > link_rank else link_rank,
-                hops + 1,
-            )
-        else:
-            key = None
-        extended[dest] = (next_hop, key)
-    return extended
-
-
 class StegRouter:
     """Routing state machine of one steg agent."""
 
@@ -218,6 +186,11 @@ class StegRouter:
         self._processed: dict[AgentId, tuple[int, int]] = {}
         # next hop -> number of routes through it (entries may be zero)
         self._via: dict[AgentId, int] = {}
+        # (link key, hop limit) -> (the self row's key extended by the link,
+        # {sender key: that key extended by the link, None beyond the hop
+        # limit}); and the extended keys, interned.
+        self._tables: dict[tuple[Key, int], tuple[Key, dict[Key, Optional[Key]]]] = {}
+        self._keys: dict[Key, Key] = {}
 
     @property
     def table_version(self) -> int:
@@ -385,18 +358,18 @@ class StegRouter:
             dests.append(sender)
             if via.get(sender):
                 dests.extend(dest for dest, (hop, _) in routes.items() if hop == sender)
-            extended = _extend(batch, dests, link_key, hop_limit)
+            extended = self._extend(batch, dests, link_key, hop_limit)
         elif seen[0] == batch.sender_version and seen[1] == len(lost):
             return False  # nothing settled before can have changed since
         else:
             memo_key = (seen[0], link_key, hop_limit)
             extended = batch.extended.get(memo_key)
             if extended is None:
-                extended = batch.extended[memo_key] = _extend(
+                extended = batch.extended[memo_key] = self._extend(
                     batch, batch.log[seen[0] : batch.sender_version], link_key, hop_limit
                 )
             if len(lost) > seen[1]:
-                extended = {**extended, **_extend(batch, lost[seen[1] :], link_key, hop_limit)}
+                extended = {**extended, **self._extend(batch, lost[seen[1] :], link_key, hop_limit)}
 
         me = self.agent_id
         version = len(log)
@@ -436,6 +409,51 @@ class StegRouter:
 
         self._processed[sender] = (batch.sender_version, len(lost))
         return len(log) != version
+
+    def _extend(
+        self, batch: UpdateBatch, dests: Iterable[AgentId], link_key: Key, hop_limit: int
+    ) -> dict[AgentId, tuple[Optional[AgentId], Optional[Key]]]:
+        """The sender's candidate for each destination as this router sees
+        it over a link with `link_key`: dest -> (the sender's next hop, or
+        None for its self row and for rows it does not have; the key
+        extended by the link, or None when the sender does not advertise
+        the destination or the path would exceed the hop limit).  Split
+        horizon is left to the caller.  Keys take few distinct values, so
+        each is extended once per (link key, hop limit) and then looked up."""
+        found = self._tables.get((link_key, hop_limit))
+        if found is None:
+            # the sender's self row (infinite bandwidth, no delay, rank 0,
+            # 0 hops) extended by the link, and an empty table
+            found = self._tables[link_key, hop_limit] = (
+                (link_key[0], 0.0 + link_key[1], link_key[2], 1), {}
+            )
+        self_key, table = found
+        sender = batch.sender
+        sent = batch.routes
+        extended = {}
+        for dest in dests:
+            row = sent.get(dest)
+            if row is None:
+                extended[dest] = (None, self_key if dest == sender else None)
+                continue
+            next_hop, key = row
+            try:
+                extended[dest] = (next_hop, table[key])
+            except KeyError:
+                neg_bw, delay, rank, hops = key
+                new = None
+                if hops < hop_limit:
+                    neg_link_bw, link_delay, link_rank, _ = link_key
+                    new = (
+                        neg_bw if neg_bw > neg_link_bw else neg_link_bw,
+                        delay + link_delay,
+                        rank if rank > link_rank else link_rank,
+                        hops + 1,
+                    )
+                    new = self._keys.setdefault(new, new)
+                table[key] = new
+                extended[dest] = (next_hop, new)
+        return extended
 
     # -- inspection ---------------------------------------------------------
 

@@ -254,19 +254,25 @@ class Platform:
         self._bit = {p.id: 1 << i for i, p in enumerate(config.methods)}
         self._bw_by_mask = _best_bandwidth_by_mask(self.profiles)
         self._topology: Optional[_Topology] = None  # None: rebuild on next read
-        self._ever_removed = False
+        # Departed steg agents that some table may still route to.
+        self._gone: set[AgentId] = set()
         self._next_id = 0
         self._last_sample_t = 0.0
-        # Bits sent in the current sampling window, per steg-link and by
-        # discovery walks.  The hellos of a live link are not in
-        # `_win_link_bits` until `_flush_hellos` adds them.
+        # Bits sent in the current sampling window: per steg-link, except
+        # the hellos of a live link (both ends alive and vouched for), which
+        # are only summed in `_win_hello_bits`; and by discovery walks.
         self._win_link_bits: dict[tuple[AgentId, AgentId], int] = {}
-        # Hello beacons per alive steg agent since it joined, and for each
-        # live link (both ends alive and vouched for) the beacons of its
-        # two ends already counted: before it formed, or flushed.
-        self._beacons: dict[AgentId, int] = {}
-        self._hellos_counted: dict[tuple[AgentId, AgentId], int] = {}
+        self._win_hello_bits = 0
         self._win_walk_bits = 0
+        self._hello_bits = 8 * config.sizes.hello
+        # Hello beacons per alive steg agent since it joined, and at the
+        # start of the window; and the live links by best-link bandwidth,
+        # each with the beacons of its two ends when it formed.
+        self._beacons: dict[AgentId, int] = {}
+        self._win_start: dict[AgentId, int] = {}
+        self._links: dict[float, dict[tuple[AgentId, AgentId], int]] = {
+            float(p.bandwidth_bps): {} for p in self.profiles.values()
+        }
         self._totals = {kind.value: [0, 0] for kind in MessageKind}
 
         self._rng_population = random.Random(f"{config.seed}:population")
@@ -303,7 +309,7 @@ class Platform:
         self._alive.append(agent_id)
         if caps:
             self._mask[agent_id] = sum(self._bit[m] for m in caps)
-            self._beacons[agent_id] = 0
+            self._beacons[agent_id] = self._win_start[agent_id] = 0
             self.routers[agent_id] = StegRouter(
                 agent_id,
                 caps,
@@ -321,18 +327,22 @@ class Platform:
         self._alive.remove(agent_id)
         router = self.routers.pop(agent_id, None)
         if router is not None:
-            # Each live link is now a link to a departed peer: its hellos so
-            # far go into the window, and the survivor's entry ages from the
-            # departed agent's final beacon, which it would have received.
-            self._flush_hellos()
+            # Each live link is now a link to a departed peer: its hellos
+            # this window move into its bits, and the survivor's entry ages
+            # from the departed agent's final beacon, which it would have
+            # received.
+            win = self._win_link_bits
             for peer, entry in router.neighbors.items():
                 if entry.peer_alive:
                     key = (agent_id, peer) if agent_id < peer else (peer, agent_id)
-                    del self._hellos_counted[key]
+                    links = self._links[self._bw_by_mask[self._mask[agent_id] & self._mask[peer]]]
+                    bits = self._window_hello_bits(key, links.pop(key))
+                    win[key] = win.get(key, 0) + bits
+                    self._win_hello_bits -= bits
                     self.routers[peer].unvouch(agent_id, router.last_beacon)
             del self._beacons[agent_id]
+            self._gone.add(agent_id)
             self._topology = None
-        self._ever_removed = True
 
     def _spawn_replacement(self, steg: bool, now: float) -> AgentId:
         agent_id = self._next_id
@@ -403,18 +413,13 @@ class Platform:
         if self._trace is not None:
             self._trace(self.kernel.now, "discovery", originator, holder, hops, nbytes)
 
-    def _flush_hellos(self) -> None:
-        """Add to the window bits the hellos each live link carried since
-        its last flush: every beacon of either end crossed it once."""
-        beacons = self._beacons
-        counted = self._hellos_counted
-        win = self._win_link_bits
-        hello_bits = 8 * self.config.sizes.hello
-        for key, done in counted.items():
-            total = beacons[key[0]] + beacons[key[1]]
-            if total != done:
-                win[key] = win.get(key, 0) + hello_bits * (total - done)
-                counted[key] = total
+    def _window_hello_bits(self, key: tuple[AgentId, AgentId], formed: int) -> int:
+        """The hello bits live link `key`, formed when its ends had sent
+        `formed` beacons, carried this window: one hello per beacon of
+        either end since the later of its forming and the window's start."""
+        a, b = key
+        beacons, start = self._beacons, self._win_start
+        return self._hello_bits * (beacons[a] + beacons[b] - max(formed, start[a] + start[b]))
 
     def form_link(self, a: AgentId, b: AgentId, now: float) -> bool:
         """Where every steg-link forms: alive steg agent `a` ingests b's
@@ -433,7 +438,8 @@ class Platform:
         self.routers[a].vouch(b)
         self.routers[b].vouch(a)
         key = (a, b) if a < b else (b, a)
-        self._hellos_counted[key] = self._beacons[a] + self._beacons[b]
+        links = self._links[self._bw_by_mask[self._mask[a] & self._mask[b]]]
+        links[key] = self._beacons[a] + self._beacons[b]
 
     def _emit(self, batch: UpdateBatch, recipients: Collection[AgentId], now: float) -> None:
         """Send `batch` to each of `recipients` in order: account the
@@ -468,9 +474,9 @@ class Platform:
 
     def _on_hello(self, agent_id: AgentId, now: float) -> None:
         """One beacon: a hello to every Up neighbor.  A vouched neighbor
-        needs no delivery and its link's bits are counted at the next
-        flush.  Any other Up neighbor departed within the hold time, so
-        its hello reaches nobody and is counted on its own."""
+        needs no delivery, and its hello is counted in the window's total
+        and in the beacon count.  Any other Up neighbor departed within the
+        hold time, so its hello reaches nobody and is counted on its own."""
         router = self.routers.get(agent_id)
         if router is None:
             return
@@ -481,6 +487,7 @@ class Platform:
         totals[0] += n_up
         totals[1] += n_up * hello_bytes
         self._beacons[agent_id] += 1
+        self._win_hello_bits += self._hello_bits * router.vouched
         trace = self._trace
         if n_up != router.vouched or trace is not None:
             neighbors = router.neighbors
@@ -545,7 +552,9 @@ class Platform:
             router.expire_check(now)
         self.frames.append(self._measure(now))
         self._win_link_bits = {}
+        self._win_hello_bits = 0
         self._win_walk_bits = 0
+        self._win_start = dict(self._beacons)
         self._last_sample_t = now
         next_t = now + self.config.sampling_interval
         if next_t <= self.config.duration:
@@ -559,13 +568,18 @@ class Platform:
         return self._topology
 
     def _routed_pairs(self) -> int:
-        if not self._ever_removed:
-            return sum(len(r.routes) for r in self.routers.values())
-        routers = self.routers
-        return sum(
-            sum(1 for dest in router.routes if dest in routers)
-            for router in routers.values()
-        )
+        """The routes held to alive steg agents: all routes less those to
+        the departed agents in `_gone`.  A departed agent that no table
+        routes to leaves `_gone`, since no route to it can appear again."""
+        tables = [router.routes for router in self.routers.values()]
+        routed = sum(map(len, tables))
+        for gone in tuple(self._gone):
+            held = sum(gone in table for table in tables)
+            if held:
+                routed -= held
+            else:
+                self._gone.remove(gone)
+        return routed
 
     def convergence_level(self) -> float:
         """The convergence level a sample taken now would record."""
@@ -577,14 +591,14 @@ class Platform:
         disconnected in the steg-link graph are unroutable by construction
         and excluded, and the level is vacuously 1.0 when no pair is
         reachable.  The all-pairs level uses every ordered alive-SA pair."""
-        self._flush_hellos()
         topo = self._current_topology()
         window = now - self._last_sample_t
         routed = self._routed_pairs()
         level = 1.0 if topo.connected_pairs == 0 else routed / topo.connected_pairs
         n_sa = len(self.routers)
         level_all = 1.0 if n_sa < 2 else routed / (n_sa * (n_sa - 1))
-        link_bits = sum(self._win_link_bits.values())
+        win = self._win_link_bits
+        link_bits = sum(win.values()) + self._win_hello_bits
         if topo.n_links and window > 0:
             overhead = (link_bits + self._win_walk_bits) / (window * topo.n_links)
         else:
@@ -595,11 +609,27 @@ class Platform:
             usage = 0.0
         saturated = 0
         if topo.n_links and window > 0:
-            mask = self._mask
-            bw = self._bw_by_mask
-            for (a, b), bits in self._win_link_bits.items():
-                if bits >= bw[mask[a] & mask[b]] * window:
-                    saturated += 1
+            mask, bw, links = self._mask, self._bw_by_mask, self._links
+            beacons, start = self._beacons, self._win_start
+            # No live link carried more hellos this window than its two
+            # ends' beacons, so a link below capacity by more is unsaturated.
+            bound = self._hello_bits * 2 * max((beacons[a] - start[a] for a in beacons), default=0)
+            for key, bits in win.items():
+                link_bw = bw[mask[key[0]] & mask[key[1]]]
+                capacity = link_bw * window
+                if bits + bound >= capacity:
+                    formed = links[link_bw].get(key)
+                    if formed is not None:
+                        bits += self._window_hello_bits(key, formed)
+                    if bits >= capacity:
+                        saturated += 1
+            for link_bw, live in links.items():
+                capacity = link_bw * window
+                if bound < capacity:
+                    continue  # no hello-only link of this class is saturated
+                for key, formed in live.items():
+                    if key not in win and self._window_hello_bits(key, formed) >= capacity:
+                        saturated += 1
         sat_fraction = saturated / topo.n_links if topo.n_links else 0.0
         return MetricsFrame(
             time=now,

@@ -31,7 +31,10 @@ def run_walk(
     Each send picks the next holder uniformly from `population`, redrawing
     while the pick is the current holder (earlier path members may be
     revisited).  After every send but the originator's, the holder flips
-    the forwarding coin `rng.random() < p_f` and delivers on a miss.
+    the forwarding coin `rng.random() < p_f` and delivers on a miss.  An
+    index is drawn as `Random.randrange(len(population))` draws it, from
+    `rng.getrandbits(len(population).bit_length())` redrawn while out of
+    range, which gives the same stream without its call layers.
 
     Raises ValueError before any draw when `population` holds fewer than
     two distinct agents, since some holder would then have no candidate."""
@@ -40,15 +43,16 @@ def run_walk(
     n = len(population)
     if not (n >= 2 and population[0] != population[1]) and len(set(population)) < 2:
         raise ValueError("the population must hold at least two distinct agents")
-    randrange = rng.randrange
+    getrandbits = rng.getrandbits
+    bits = n.bit_length()
     coin = rng.random
     holder = originator
     path = [holder]
     while True:
-        nxt = population[randrange(n)]
-        while nxt == holder:
-            nxt = population[randrange(n)]
-        path.append(nxt)
-        holder = nxt
+        i = getrandbits(bits)
+        while i >= n or population[i] == holder:
+            i = getrandbits(bits)
+        holder = population[i]
+        path.append(holder)
         if coin() >= p_f:
             return path

@@ -13,8 +13,11 @@ calls in the same order.
 The configs cover a hold time one float step above the hello interval,
 churn up to one migration per second, sampling intervals that are not
 multiples of the hello interval, a text-only catalogue sampled every
-second (one hello saturates the 80 bit/s link for that window), and links
-formed through `form_link` before the run starts.
+second (one hello saturates the 80 bit/s link for that window), an
+80 bit/s and a 400 bit/s method sampled every second under heavy churn
+(a hello from each end saturates a 400 bit/s link for that window, one
+hello does not), and links formed through `form_link` before the run
+starts.
 """
 
 import math
@@ -29,6 +32,7 @@ from stegrouter.sim import Platform, SimConfig, run_report_lines
 from harness import ReferencePlatform, dyadic_delay_methods
 
 TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
+TEXT_AND_WIDE = TEXT_ONLY + (StegMethodProfile("wide", "Wide", 400, 0.0, 0.5, 1),)
 CATALOGUES = (DEFAULT_METHODS, TEXT_ONLY, dyadic_delay_methods(3))
 
 
@@ -76,6 +80,11 @@ early_pairs = st.lists(st.tuples(st.integers(0, 15), st.integers(0, 15)), max_si
 @example(
     SimConfig(duration=120.0, n_agents=40, sa_fraction=0.2, methods=TEXT_ONLY,
               sampling_interval=1.0, seed=5),
+    [],
+)
+@example(
+    SimConfig(duration=120.0, n_agents=40, sa_fraction=0.2, methods=TEXT_AND_WIDE,
+              sampling_interval=1.0, migration_rate=1.0, seed=1),
     [],
 )
 @example(

@@ -2,12 +2,14 @@
 neighbor lifecycle, update exchange, path resolution, and oracle
 equivalence."""
 
+import hashlib
 import math
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from stegrouter import router as router_module
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
 from stegrouter.router import (
     RouterTimers,
@@ -16,6 +18,7 @@ from stegrouter.router import (
     reference_tables,
     resolve_steg_path,
 )
+from stegrouter.sim import SimConfig, run, run_report_lines
 
 from harness import (
     DYADIC_DELAYS,
@@ -24,6 +27,7 @@ from harness import (
     dyadic_delay_methods,
     protocol_tables,
     random_population,
+    run_in_child,
     run_rounds,
 )
 
@@ -484,6 +488,32 @@ class TestProcessUpdate:
                         routers[recipient].process_update(batch, 16.0)
         assert 3 not in routers[1].routes
         assert all(key[3] <= 32 for _, key in routers[1].routes.values())
+
+
+class TestKeyTables:
+    def test_tables_belong_to_the_run(self):
+        # each router keeps its own table of key extensions: runs with
+        # other hop limits and catalogues earlier in this process leave the
+        # pinned run writing what it writes in a fresh interpreter, and the
+        # module holds no table that outlives a run
+        for cfg in (
+            SimConfig(n_agents=60, duration=600.0, hop_limit=2, seed=2),
+            SimConfig(n_agents=60, duration=600.0, hop_limit=3,
+                      methods=dyadic_delay_methods(1), seed=3),
+        ):
+            run(cfg)
+        text = "\n".join(run_report_lines(run(SimConfig(seed=1))))
+        script = (
+            "import hashlib, sys\n"
+            "from stegrouter.sim import SimConfig, run, run_report_lines\n"
+            "text = '\\n'.join(run_report_lines(run(SimConfig(seed=1))))\n"
+            "sys.stdout.write(hashlib.sha256(text.encode()).hexdigest())\n"
+        )
+        assert hashlib.sha256(text.encode()).hexdigest() == run_in_child(script)
+        assert not [
+            name for name, value in vars(router_module).items()
+            if isinstance(value, (dict, list, set)) and not name.startswith("__")
+        ]
 
 
 class TestResolvePath:

@@ -331,6 +331,29 @@ class TestMigration:
             replaced.update(i for i in ids if i >= cfg.n_agents)
         assert len(replaced) >= 10
 
+    @pytest.mark.parametrize("rate, seed", [
+        (1 / 60, 1), (1 / 60, 2), (1 / 60, 3), (0.1, 1), (1.0, 1),
+    ])
+    def test_routed_pairs_count_only_routes_to_alive_agents(self, monkeypatch, rate, seed):
+        # routes to a departed steg agent linger until they count to the
+        # hop limit; at every sample the count must equal a brute-force
+        # count over every table, including samples long after a departure
+        counted = []
+        routed_pairs = Platform._routed_pairs
+
+        def checked(platform):
+            routers = platform.routers
+            held = sum(len(router.routes) for router in routers.values())
+            alive = sum(dest in routers for router in routers.values() for dest in router.routes)
+            counted.append((routed_pairs(platform), alive, held))
+            return counted[-1][0]
+
+        monkeypatch.setattr(Platform, "_routed_pairs", checked)
+        run(SimConfig(migration_rate=rate, seed=seed))
+        assert len(counted) == 180
+        assert [fast for fast, _, _ in counted] == [alive for _, alive, _ in counted]
+        assert any(alive < held for _, alive, held in counted)
+
     def test_churn_causes_convergence_dips(self, churn_panel):
         # churn must visibly interrupt converged operation: most seeds
         # dip below full tables during the final third of the run

@@ -30,6 +30,10 @@ class BoundedRandom(random.Random):
         self._count()
         return super().randrange(*args)
 
+    def getrandbits(self, k):
+        self._count()
+        return super().getrandbits(k)
+
 
 def walk_lengths(p_f, n_walks, seed, population_size=40):
     rng = random.Random(seed)
@@ -243,19 +247,32 @@ class TestWalkState:
             replay.random()
             assert walked.getstate() == replay.getstate()
 
+    def stepped_walk(self, rng, originator, p_f, population):
+        holder, path = originator, [originator]
+        while True:
+            holder = self.step(rng, holder, population)
+            path.append(holder)
+            if rng.random() >= p_f:
+                return path
+
     def test_stepping_reproduces_run_walk(self):
         # one send per step and a coin after every send gives the same path
         population = list(range(20))
         for seed in range(25):
             path = run_walk(7, 0.75, population, random.Random(seed))
-            rng = random.Random(seed)
-            holder, stepped = 7, [7]
-            while True:
-                holder = self.step(rng, holder, population)
-                stepped.append(holder)
-                if rng.random() >= 0.75:
-                    break
-            assert stepped == path
+            assert self.stepped_walk(random.Random(seed), 7, 0.75, population) == path
+
+    @pytest.mark.parametrize("size", [2, 3, 255, 256, 257, 1000, 1024, 1025])
+    def test_draws_are_randrange_draws(self, size):
+        # run_walk draws its indices without calling randrange, yet must
+        # draw exactly what rng.randrange(len(population)) draws, also at
+        # and around powers of two, and leave the generator where it leaves
+        population = list(range(size))
+        for seed in range(25):
+            walked, replay = random.Random(seed), random.Random(seed)
+            path = run_walk(1, 0.75, population, walked)
+            assert self.stepped_walk(replay, 1, 0.75, population) == path
+            assert walked.getstate() == replay.getstate()
 
 
 class TestFullScaleWalks:
