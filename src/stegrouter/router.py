@@ -32,31 +32,41 @@ d settled.  So a later table from S is applied only to the destinations
 in S's change log since the table R last processed and in R's loss log
 since then; every other destination would come out unchanged.  The loss
 log only grows together with the table version, so its length at the
-last processed table marks where "since then" starts.  A first contact,
-a re-formed link or a table older than the last one processed is applied
-in full.
+last processed table marks where "since then" starts.  The sender's
+neighbor entry holds both marks, so they go with the entry when it
+expires.  A first contact, a re-formed link or a table older than the
+last one processed is applied in full, in two steps.  First the routes
+through the sender take its rows (overwritten, or withdrawn where the row
+is missing, in R's split-horizon group or past the hop limit).  Then
+every row and the self row are only offered for adoption: a route through
+the sender already holds its candidate, and a route through another hop
+changes only for a better one.  Extending a key by a link makes it
+strictly worse (every link adds a hop), so a row whose key is no better
+than R's current key is passed over before it is extended.
 
-The sender-side part of that work is done once per batch.  Extending the
-sender's rows by a link depends on nothing of the receiver but where its
-slice of the change log starts (its last processed sender version), the
-link's one-hop key and the hop limit: the batch fixes the rows and the end
-of the slice.  So a batch keeps, per distinct (version, link key, hop
-limit), the extended candidates of the destinations in that slice, and
-every receiver sharing the three reuses them; on a near-clique almost all
-links share one key.  What stays per receiver is only what depends on it:
-skipping its own id, split horizon, the adopt/overwrite/withdraw rule, and
-the destinations of its own loss log, extended on their own.  The router
-also keeps its number of routes per next hop as the table changes, so an
-emission copies the split-horizon group sizes instead of counting them.
-Route keys take few distinct values, so each router extends a key by a
-link once, in its own table per (link key, hop limit), and looks it up
-after that.
+The sender-side part of an incremental pass is done once per batch.
+Extending the sender's rows by a link depends on nothing of the receiver
+but where its slice of the change log starts (its last processed sender
+version), the link's one-hop key and the hop limit: the batch fixes the
+rows and the end of the slice.  So a batch keeps, per distinct (version,
+link key, hop limit), the extended candidates of the destinations in
+that slice, and every receiver sharing the three reuses them; on a
+near-clique almost all links share one key.  What stays per receiver is
+only what depends on it: skipping its own id, split horizon, the
+adopt/overwrite/withdraw rule, and the destinations of its own loss log,
+extended on their own.  The router also keeps its number of routes per
+next hop as the table changes, so an emission copies the split-horizon
+group sizes instead of counting them.  Route keys take few distinct
+values, so each router extends a key by a link once, in its own table
+per (link key, hop limit), and looks it up after that.
 """
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
+from itertools import chain
 from typing import Collection, Iterable, Iterator, Mapping, Optional
 
 from .core import AgentId, StegMethodId, StegMethodProfile
@@ -64,6 +74,14 @@ from .core import AgentId, StegMethodId, StegMethodProfile
 #: Route quality as one comparable tuple (lower is better):
 #: (-bottleneck_bps, delay_s, worst_rank, hops).
 Key = tuple[float, float, int, int]
+
+#: A router's key for itself (infinite bandwidth, no delay, rank 0, 0 hops):
+#: what the self row at the front of every update message carries.
+SELF_KEY: Key = (-math.inf, 0.0, 0, 0)
+
+#: Above every table version, so the next table from a peer marked with it
+#: counts as older than the last one processed and is applied in full.
+UNSEEN = sys.maxsize
 
 
 def best_method_on_link(
@@ -99,13 +117,18 @@ class RouterTimers:
 class NeighborEntry:
     """A steg-link as one endpoint sees it: the method it sends over, that
     method's one-hop key, when the peer was last heard from (by hello or
-    discovery), and whether the platform vouches for the peer (see
-    `StegRouter.vouch` and `StegRouter.is_up`)."""
+    discovery), whether the platform vouches for the peer (see
+    `StegRouter.vouch` and `StegRouter.is_up`), and the marks of the
+    peer's last processed table: its version, and the owner's loss log
+    length right after it (see `StegRouter.process_update`).  Until a
+    table is processed over the link, `seen_version` is `UNSEEN`."""
 
     best_method: StegMethodId
     link_key: Key
     last_hello_at: float
     peer_alive: bool = False
+    seen_version: int = UNSEEN
+    seen_lost: int = 0
 
 
 #: A route: (next hop, key); the neighbor entry of the next hop holds the
@@ -181,15 +204,11 @@ class StegRouter:
         # or was removed (_lost).
         self._log: list[AgentId] = []
         self._lost: list[AgentId] = []
-        # sender -> (sender table version, own loss log length) right after
-        # a table from that sender was last processed.
-        self._processed: dict[AgentId, tuple[int, int]] = {}
         # next hop -> number of routes through it (entries may be zero)
         self._via: dict[AgentId, int] = {}
-        # (link key, hop limit) -> (the self row's key extended by the link,
-        # {sender key: that key extended by the link, None beyond the hop
-        # limit}); and the extended keys, interned.
-        self._tables: dict[tuple[Key, int], tuple[Key, dict[Key, Optional[Key]]]] = {}
+        # (link key, hop limit) -> {sender key: that key extended by the
+        # link, None beyond the hop limit}; and the extended keys, interned.
+        self._tables: dict[tuple[Key, int], dict[Key, Optional[Key]]] = {}
         self._keys: dict[Key, Key] = {}
 
     @property
@@ -219,7 +238,7 @@ class StegRouter:
             entry.last_hello_at = now
             if fresh:
                 return False
-            self._processed.pop(advertiser, None)
+            entry.seen_version = UNSEEN  # the next table is applied in full
             return True
         method = best_method_on_link(shared, self.profiles)
         profile = self.profiles[method]
@@ -287,7 +306,7 @@ class StegRouter:
 
     def expire_check(self, now: float) -> list[AgentId]:
         """Delete the neighbors that have gone stale, each with the routes
-        through it and the memo of its last processed table, and return
+        through it and the marks of its last processed table, and return
         them; a neighbor is reported once, when it is deleted.  Expiry is a
         local, silent event: nothing is emitted until the next periodic
         update simply stops mentioning the lost destinations."""
@@ -301,7 +320,6 @@ class StegRouter:
                 del self.routes[dest]
             for nid in expired:
                 del self.neighbors[nid]
-                self._processed.pop(nid, None)
                 self._via.pop(nid, None)
             self._log.extend(stale)
             self._lost.extend(stale)
@@ -340,54 +358,91 @@ class StegRouter:
         only to the destinations that can have changed since the sender's
         last processed table (see the module docstring).
         """
-        sender = batch.sender
-        entry = self.neighbors.get(sender)  # `is_up`, with one lookup
-        if entry is None or not (
-            entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time
-        ):
+        entry = self.neighbors.get(batch.sender)
+        if entry is None:
             return False
-        routes = self.routes
-        log = self._log
-        lost = self._lost
-        via = self._via
-        link_key = entry.link_key
-        hop_limit = self.hop_limit
-        seen = self._processed.get(sender)
-        if seen is None or batch.sender_version < seen[0]:
-            dests = list(batch.routes)
-            dests.append(sender)
-            if via.get(sender):
-                dests.extend(dest for dest, (hop, _) in routes.items() if hop == sender)
-            extended = self._extend(batch, dests, link_key, hop_limit)
-        elif seen[0] == batch.sender_version and seen[1] == len(lost):
+        if entry.seen_version == batch.sender_version and entry.seen_lost == len(self._lost):
             return False  # nothing settled before can have changed since
+        if not (entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time):
+            return False  # the sender is not Up
+        log = self._log
+        version = len(log)
+        lost = self._lost
+        seen_version = entry.seen_version
+        if batch.sender_version < seen_version:
+            self._full_pass(batch, entry.link_key)
         else:
-            memo_key = (seen[0], link_key, hop_limit)
+            sender = batch.sender
+            link_key = entry.link_key
+            hop_limit = self.hop_limit
+            memo_key = (seen_version, link_key, hop_limit)
             extended = batch.extended.get(memo_key)
             if extended is None:
                 extended = batch.extended[memo_key] = self._extend(
-                    batch, batch.log[seen[0] : batch.sender_version], link_key, hop_limit
+                    batch, batch.log[seen_version : batch.sender_version], link_key, hop_limit
                 )
-            if len(lost) > seen[1]:
-                extended = {**extended, **self._extend(batch, lost[seen[1] :], link_key, hop_limit)}
+            if len(lost) > entry.seen_lost:
+                extended = {**extended, **self._extend(batch, lost[entry.seen_lost :], link_key, hop_limit)}
 
-        me = self.agent_id
-        version = len(log)
-        for dest, (next_hop, key) in extended.items():
-            if dest == me:
-                continue
-            if next_hop == me:
-                key = None
-            current = routes.get(dest)
-            if current is None:
-                if key is not None:
+            me = self.agent_id
+            routes = self.routes
+            via = self._via
+            for dest, (next_hop, key) in extended.items():
+                if dest == me:
+                    continue
+                if next_hop == me:
+                    key = None
+                current = routes.get(dest)
+                if current is None:
+                    if key is not None:
+                        via[sender] = via.get(sender, 0) + 1
+                        routes[dest] = (sender, key)
+                        log.append(dest)
+                    continue
+                cur_hop, cur_key = current
+                if cur_hop == sender:
+                    if key is None:
+                        del routes[dest]
+                        via[sender] -= 1
+                        lost.append(dest)
+                    elif key != cur_key:
+                        routes[dest] = (sender, key)
+                        if key > cur_key:
+                            lost.append(dest)
+                    else:
+                        continue
+                    log.append(dest)
+                # Adopt when key < cur_key, or key == cur_key and sender <
+                # cur_hop, written so that a losing candidate (the common
+                # case) costs one tuple comparison.
+                elif key is not None and key <= cur_key and (sender < cur_hop or key != cur_key):
+                    via[cur_hop] -= 1
                     via[sender] = via.get(sender, 0) + 1
                     routes[dest] = (sender, key)
                     log.append(dest)
-                continue
-            cur_hop, cur_key = current
-            if cur_hop == sender:
-                if key is None:
+
+        entry.seen_version = batch.sender_version
+        entry.seen_lost = len(lost)
+        return len(log) != version
+
+    def _full_pass(self, batch: UpdateBatch, link_key: Key) -> None:
+        """Apply the sender's whole table in two steps: settle the routes
+        through the sender, then offer every row for adoption alone (see
+        the module docstring)."""
+        sender = batch.sender
+        me = self.agent_id
+        routes = self.routes
+        log = self._log
+        via = self._via
+        hop_limit = self.hop_limit
+        table = self._tables.setdefault((link_key, hop_limit), {})
+        sent = batch.routes
+        if via.get(sender):
+            lost = self._lost
+            through = [dest for dest, (hop, _) in routes.items() if hop == sender]
+            for dest, (next_hop, key) in self._extend(batch, through, link_key, hop_limit).items():
+                cur_key = routes[dest][1]
+                if key is None or next_hop == me:
                     del routes[dest]
                     via[sender] -= 1
                     lost.append(dest)
@@ -398,17 +453,49 @@ class StegRouter:
                 else:
                     continue
                 log.append(dest)
-            # Adopt when key < cur_key, or key == cur_key and sender < cur_hop,
-            # written so that a losing candidate (the common case) costs one
-            # tuple comparison.
-            elif key is not None and key <= cur_key and (sender < cur_hop or key != cur_key):
+        for dest, (next_hop, key) in chain(sent.items(), ((sender, (None, SELF_KEY)),)):
+            if next_hop == me or dest == me:
+                continue
+            current = routes.get(dest)
+            if current is not None:
+                cur_hop, cur_key = current
+                if key >= cur_key:
+                    continue  # extending makes a key strictly worse
+            try:
+                key = table[key]
+            except KeyError:
+                key = self._extend_key(table, key, link_key, hop_limit)
+            if key is None:
+                continue
+            if current is None:
+                via[sender] = via.get(sender, 0) + 1
+            elif key <= cur_key and (sender < cur_hop or key != cur_key):
                 via[cur_hop] -= 1
                 via[sender] = via.get(sender, 0) + 1
-                routes[dest] = (sender, key)
-                log.append(dest)
+            else:
+                continue
+            routes[dest] = (sender, key)
+            log.append(dest)
 
-        self._processed[sender] = (batch.sender_version, len(lost))
-        return len(log) != version
+    def _extend_key(
+        self, table: dict[Key, Optional[Key]], key: Key, link_key: Key, hop_limit: int
+    ) -> Optional[Key]:
+        """`key` extended by the link, or None beyond the hop limit,
+        entered into `table`; route keys take few distinct values, so each
+        is extended once per table and looked up after that."""
+        neg_bw, delay, rank, hops = key
+        new = None
+        if hops < hop_limit:
+            neg_link_bw, link_delay, link_rank, _ = link_key
+            new = (
+                neg_bw if neg_bw > neg_link_bw else neg_link_bw,
+                delay + link_delay,
+                rank if rank > link_rank else link_rank,
+                hops + 1,
+            )
+            new = self._keys.setdefault(new, new)
+        table[key] = new
+        return new
 
     def _extend(
         self, batch: UpdateBatch, dests: Iterable[AgentId], link_key: Key, hop_limit: int
@@ -418,41 +505,23 @@ class StegRouter:
         None for its self row and for rows it does not have; the key
         extended by the link, or None when the sender does not advertise
         the destination or the path would exceed the hop limit).  Split
-        horizon is left to the caller.  Keys take few distinct values, so
-        each is extended once per (link key, hop limit) and then looked up."""
-        found = self._tables.get((link_key, hop_limit))
-        if found is None:
-            # the sender's self row (infinite bandwidth, no delay, rank 0,
-            # 0 hops) extended by the link, and an empty table
-            found = self._tables[link_key, hop_limit] = (
-                (link_key[0], 0.0 + link_key[1], link_key[2], 1), {}
-            )
-        self_key, table = found
+        horizon is left to the caller."""
+        table = self._tables.setdefault((link_key, hop_limit), {})
         sender = batch.sender
         sent = batch.routes
         extended = {}
         for dest in dests:
             row = sent.get(dest)
             if row is None:
-                extended[dest] = (None, self_key if dest == sender else None)
-                continue
+                if dest != sender:
+                    extended[dest] = (None, None)
+                    continue
+                row = (None, SELF_KEY)
             next_hop, key = row
             try:
                 extended[dest] = (next_hop, table[key])
             except KeyError:
-                neg_bw, delay, rank, hops = key
-                new = None
-                if hops < hop_limit:
-                    neg_link_bw, link_delay, link_rank, _ = link_key
-                    new = (
-                        neg_bw if neg_bw > neg_link_bw else neg_link_bw,
-                        delay + link_delay,
-                        rank if rank > link_rank else link_rank,
-                        hops + 1,
-                    )
-                    new = self._keys.setdefault(new, new)
-                table[key] = new
-                extended[dest] = (next_hop, new)
+                extended[dest] = (next_hop, self._extend_key(table, key, link_key, hop_limit))
         return extended
 
     # -- inspection ---------------------------------------------------------

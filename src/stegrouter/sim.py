@@ -18,7 +18,7 @@ import os
 import random
 import tempfile
 import typing
-from collections import Counter
+from collections import Counter, deque
 from dataclasses import asdict, dataclass, field, is_dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -256,6 +256,10 @@ class Platform:
         self._topology: Optional[_Topology] = None  # None: rebuild on next read
         # Departed steg agents that some table may still route to.
         self._gone: set[AgentId] = set()
+        # Departed steg agents whose masks are kept, with their departure
+        # times, in departure order: their links carry bits until the peers'
+        # entries go stale, a hold time after the departure.
+        self._departed: deque[tuple[float, AgentId]] = deque()
         self._next_id = 0
         self._last_sample_t = 0.0
         # Bits sent in the current sampling window: per steg-link, except
@@ -342,6 +346,7 @@ class Platform:
                     self.routers[peer].unvouch(agent_id, router.last_beacon)
             del self._beacons[agent_id]
             self._gone.add(agent_id)
+            self._departed.append((self.kernel.now, agent_id))
             self._topology = None
 
     def _spawn_replacement(self, steg: bool, now: float) -> AgentId:
@@ -551,6 +556,11 @@ class Platform:
         for router in self.routers.values():
             router.expire_check(now)
         self.frames.append(self._measure(now))
+        # A peer's entry of an agent that departed more than a hold time
+        # ago is stale, so no later window has bits on its links.
+        departed, hold_time = self._departed, self.config.timers.hold_time
+        while departed and now - departed[0][0] > hold_time:
+            del self._mask[departed.popleft()[1]]
         self._win_link_bits = {}
         self._win_hello_bits = 0
         self._win_walk_bits = 0

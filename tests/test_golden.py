@@ -41,6 +41,10 @@ GOLDEN = {
         SimConfig(methods=dyadic_delay_methods(1), seed=1),
         "ca9994f0c4bad1f188ec2d17d69e8286351b4f80452b9de59d092b98315d292a",
     ),
+    "n1000-seed1": (
+        SimConfig(n_agents=1000, seed=1),
+        "e14e41e75cfabdd1a7d142f237d7d146f05f9ad81d0e1da282f5e954b3d75465",
+    ),
 }
 
 

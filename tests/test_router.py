@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stegrouter import router as router_module
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
 from stegrouter.router import (
+    UNSEEN,
     RouterTimers,
     StegRouter,
     best_method_on_link,
@@ -283,9 +284,14 @@ class TestNeighborLifecycle:
         assert r1.table_version == version
 
     def test_rediscovery_after_expiry_reforms(self):
-        r = fresh_router(1)
+        r, peer = fresh_router(1), fresh_router(2)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
+        peer.ingest_discovery(1, frozenset({"internet"}), now=0.0)
+        assert r.process_update(peer.build_update(0.0), 0.0)
+        assert r.neighbors[2].seen_version == 0
         assert r.ingest_discovery(2, frozenset({"internet"}), now=100.0) is True
+        # the re-formed link drops the marks, so 2's next table is applied in full
+        assert r.neighbors[2].seen_version == UNSEEN
 
     def test_expiry_prunes_routes_silently(self):
         routers = converge({1: frozenset({"internet"}), 2: frozenset({"internet"}),
@@ -301,9 +307,13 @@ class TestNeighborLifecycle:
         assert r1.table_version == version + 1
         # the expired entry is deleted, so a second check reports nothing
         # and changes nothing
-        assert 2 not in r1.neighbors and 2 not in r1._processed
+        assert 2 not in r1.neighbors
         assert r1.expire_check(16.5) == []
         assert r1.table_version == version + 1
+        # the marks of 2's last processed table went with its entry: the
+        # re-formed link's entry has none, so 2's next table is applied in full
+        assert r1.ingest_discovery(2, frozenset({"internet"}), now=17.0)
+        assert r1.neighbors[2].seen_version == UNSEEN
 
 
 class TestBuildUpdate:

@@ -354,6 +354,35 @@ class TestMigration:
         assert [fast for fast, _, _ in counted] == [alive for _, alive, _ in counted]
         assert any(alive < held for _, alive, held in counted)
 
+    @pytest.mark.parametrize("rate", [1 / 60, 0.1, 1.0])
+    def test_masks_of_departed_agents_are_dropped(self, monkeypatch, rate):
+        # a departed steg agent's links carry bits until its peers' entries
+        # go stale, a hold time after it left, so its mask must be gone at
+        # the first sample after that
+        departed = {}
+        remove_agent, on_sample = Platform.remove_agent, Platform._on_sample
+
+        def remove(platform, agent_id):
+            if agent_id in platform.routers:
+                departed[agent_id] = platform.now
+            remove_agent(platform, agent_id)
+
+        kept = []
+
+        def sample(platform, now):
+            on_sample(platform, now)
+            cfg = platform.config
+            within = cfg.timers.hold_time + cfg.sampling_interval
+            ghosts = [a for a in platform._mask if a not in platform.routers]
+            assert all(now - departed[a] <= within for a in ghosts), now
+            kept.append(len(ghosts))
+
+        monkeypatch.setattr(Platform, "remove_agent", remove)
+        monkeypatch.setattr(Platform, "_on_sample", sample)
+        run(SimConfig(migration_rate=rate, seed=1))
+        assert len(kept) == 180
+        assert departed and max(kept) > 0
+
     def test_churn_causes_convergence_dips(self, churn_panel):
         # churn must visibly interrupt converged operation: most seeds
         # dip below full tables during the final third of the run

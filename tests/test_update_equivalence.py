@@ -204,6 +204,18 @@ def incremental(router, batch, now):
     [("lose", 39, 21), ("emit", 10, 0), ("redeliver", 48, 10), ("emit", 19, 57),
      ("redeliver", 15, 2)],
 ))
+# A full pass over routes through the sender: 0 loses its only link to 3
+# and learns a route to 3 back through 1; then a batch 1 sent before, while
+# it routed 3 via 0, is delivered to 0 again.  That row is in 0's
+# split-horizon group, so 0 must withdraw its route to 3, not take the row.
+@example((
+    method_table(DEFAULT_METHODS),
+    {0: frozenset({"hiccups", "audio"}), 1: frozenset({"hiccups"}),
+     2: frozenset({"hiccups"}), 3: frozenset({"audio"})},
+    32,
+    [("redeliver", 0, 0), ("lose", 2, 0), ("emit", 2, 0), ("emit", 1, 0),
+     ("redeliver", 5, 0)],
+))
 # A link silenced past its hold time with no expiry check before the next
 # emission: the emission's own expiry check must delete the stale entry
 # before the batch is addressed to every neighbor entry left.
