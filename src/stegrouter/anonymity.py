@@ -222,22 +222,36 @@ def _entropy_rows(probs: np.ndarray) -> np.ndarray:
     return 0.0 - probs.sum(axis=-1)
 
 
-# Float elements per bootstrap block: the resampled counts are turned into
-# probabilities and entropies a block of rows at a time, so no float copy
-# of the whole bootstrap matrix exists.
+# Elements per bootstrap block: the multinomial rows are drawn, turned into
+# probabilities and reduced to entropies a block of rows at a time, so
+# neither the whole count matrix nor a float copy of it ever exists.
 _BLOCK_ELEMENTS = 1 << 16
 
 
-def _block_entropies(resampled: np.ndarray, probabilities) -> np.ndarray:
-    """Entropy of each row of `resampled`, converted to probabilities by
-    `probabilities` (a row block in, a new float block out)."""
-    rows, width = resampled.shape
-    step = max(1, _BLOCK_ELEMENTS // width)
-    entropies = np.empty(rows)
-    for start in range(0, rows, step):
-        stop = start + step
-        entropies[start:stop] = _entropy_rows(probabilities(resampled[start:stop]))
+def _bootstrap_entropies(
+    rng: np.random.Generator,
+    total: int,
+    pvals: np.ndarray,
+    bootstrap: int,
+    probabilities,
+) -> np.ndarray:
+    """Entropies of `bootstrap` multinomial resamples of `total` draws over
+    `pvals`, each row of counts turned into probabilities by
+    `probabilities` (a row block in, a new float block out).  Drawing the
+    rows in blocks gives the same rows as one `multinomial` call of size
+    `bootstrap`."""
+    step = max(1, _BLOCK_ELEMENTS // pvals.size)
+    entropies = np.empty(bootstrap)
+    for start in range(0, bootstrap, step):
+        block = rng.multinomial(total, pvals, size=min(step, bootstrap - start))
+        entropies[start:start + len(block)] = _entropy_rows(probabilities(block))
     return entropies
+
+
+# Trials per chunk of a walk hop: each hop's receivers and forwarding coins
+# are drawn, and its walks split, this many at a time, so the int64, float
+# and mask temporaries of a hop have a fixed size whatever the trial count.
+_CHUNK = 1 << 16
 
 
 def _simulate_walks(
@@ -255,40 +269,62 @@ def _simulate_walks(
     closed-form model (the platform walk engine differs only in that it
     excludes the current holder from the pool).  Returns the per-honest-
     agent count of observed predecessors plus the number of walks that
-    ended unobserved.  With recipient_observes (no-colluder limit), the
-    final holder acts as observer, so every walk yields an observation.
+    ended unobserved.  With recipient_observes and C = 0 (the no-colluder
+    limit), the final holder acts as observer, so every walk yields an
+    observation; with C > 0 it has no effect.
+
+    The walk state is two trial-length buffers of the narrowest unsigned
+    type that holds N - 1: 2 bytes per trial up to N = 256, 4 up to
+    N = 65536 and 8 beyond, where one-shot int64 draws, float coins and
+    the index arrays that split them took 30-34.  Each hop is drawn and
+    split `_CHUNK` trials at a time, which adds a fixed 1-3 MB.  Chunked
+    `integers` and `random` draws give the same numbers as one call of
+    the whole size, so the random stream and every result for a fixed
+    seed are unchanged.
     """
     honest = n - c
     counts = np.zeros(honest, dtype=np.int64)
     misses = 0
     if c == 0 and not recipient_observes:
         return counts, trials
-    # `pred` holds, per live trial, the honest agent currently holding the
-    # message (the would-be observed predecessor of the next receiver).
-    pred = np.zeros(trials, dtype=np.int64)
+    state = np.min_scalar_type(n - 1)
+    # Per live trial, `pred[:live]` holds the honest agent currently holding
+    # the message (the would-be observed predecessor of the next receiver);
+    # within a hop, `kept[:received]` holds the receivers that are honest.
+    pred = np.zeros(trials, dtype=state)
+    kept = np.empty(trials, dtype=state)
     # `compress` selects the same elements as boolean indexing, in the same
     # order, at about a third of its cost on random masks.
     live = trials
-    if c == 0:
-        while live:
-            receiver = rng.integers(0, n, size=live)
-            forward = rng.random(live) < p_f
-            counts += np.bincount(pred.compress(~forward), minlength=honest)
-            pred = receiver.compress(forward)
-            live = pred.size
-        return counts, misses
     while live:
-        receiver = rng.integers(0, n, size=live)
-        hit = receiver >= honest
-        if hit.any():
-            counts += np.bincount(pred.compress(hit), minlength=honest)
-            receiver = receiver.compress(~hit)
-            live = receiver.size
-            if not live:
-                break
-        pred = receiver.compress(rng.random(live) < p_f)
-        misses += live - pred.size
-        live = pred.size
+        # Each live walk hands the message on; a colluder receiving it
+        # observes the holder, and that walk ends.
+        received = 0
+        for start in range(0, live, _CHUNK):
+            receiver = rng.integers(0, n, size=min(_CHUNK, live - start))
+            if c:
+                hit = receiver >= honest
+                if hit.any():
+                    observed = pred[start:start + hit.size].compress(hit)
+                    counts += np.bincount(observed, minlength=honest)
+                    receiver = receiver.compress(~hit)
+            kept[received:received + receiver.size] = receiver
+            received += receiver.size
+        # Each honest receiver forwards on a coin.  A walk that stops ends
+        # unobserved, or, with C = 0, observed by its recipient (no receiver
+        # was removed, so `kept[i]` is still the receiver of `pred[i]`).
+        # Survivors are packed into `pred` behind the chunk being read.
+        live = 0
+        for start in range(0, received, _CHUNK):
+            stop = min(start + _CHUNK, received)
+            forward = rng.random(stop - start) < p_f
+            if not c:
+                counts += np.bincount(pred[start:stop].compress(~forward), minlength=honest)
+            moved = kept[start:stop].compress(forward)
+            pred[live:live + moved.size] = moved
+            live += moved.size
+        if c:
+            misses += received - live
     return counts, misses
 
 
@@ -329,20 +365,20 @@ def monte_carlo_entropy(
             )
         probs = counts / observations
         entropy = float(_entropy_rows(probs.copy()))
-        resampled = rng.multinomial(observations, probs, size=bootstrap)
-        entropies = _block_entropies(resampled, lambda block: block / observations)
+        entropies = _bootstrap_entropies(
+            rng, observations, probs, bootstrap, lambda block: block / observations
+        )
     else:
         weights = counts + misses / honest
         entropy = float(_entropy_rows(weights / trials))
         categories = np.append(counts, misses) / trials
-        resampled = rng.multinomial(trials, categories, size=bootstrap)
 
         def probabilities(block: np.ndarray) -> np.ndarray:
             boot_weights = block[:, :honest] + block[:, honest:] / honest
             boot_weights /= trials
             return boot_weights
 
-        entropies = _block_entropies(resampled, probabilities)
+        entropies = _bootstrap_entropies(rng, trials, categories, bootstrap, probabilities)
     rate = observations / trials
 
     low, high = np.percentile(entropies, [2.5, 97.5])

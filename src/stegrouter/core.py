@@ -108,7 +108,3 @@ class MessageSizes:
         for name in ("discovery", "hello", "update_header", "update_entry"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"message size {name} must be positive")
-
-    def update_payload(self, rows: int) -> int:
-        """Payload bytes of a routing update carrying `rows` table rows."""
-        return self.update_header + self.update_entry * rows

@@ -450,8 +450,7 @@ class Platform:
         """Send `batch` to each of `recipients` in order: account the
         message addressed to it as `_send` would, then have the recipient
         apply it if it is still alive.  The payload is
-        `sizes.update_payload(batch.row_count_for(recipient))`, written
-        out."""
+        `update_header + update_entry * batch.row_count_for(recipient)`."""
         sizes = self.config.sizes
         header, per_row = sizes.update_header, sizes.update_entry
         rows = 1 + len(batch.routes)

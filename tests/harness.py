@@ -3,7 +3,8 @@
 Every capability link is formed up front and the clock is pinned at zero,
 so no neighbor ever expires; tables then evolve purely through periodic
 update exchange until a fixpoint, which is what the reference oracle
-models.
+models.  The one-shot walk loop at the end is the reference for the
+anonymity oracle's chunked one.
 """
 
 import os
@@ -12,6 +13,8 @@ import re
 import subprocess
 import sys
 from collections import Counter
+
+import numpy as np
 
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
@@ -270,3 +273,38 @@ def digest_under_hash_seed(script, hashseed):
     assert re.fullmatch(r"[0-9a-f]{64}", digest), (
         f"child under PYTHONHASHSEED={hashseed} wrote {digest!r}, not a SHA-256 hex digest")
     return digest
+
+
+def reference_simulate_walks(n, c, p_f, trials, rng, recipient_observes):
+    """The oracle's walk loop with each hop drawn in one call and int64
+    walk state: the specification that `anonymity._simulate_walks` must
+    match draw for draw.  Returns the per-honest-agent counts of observed
+    predecessors and the number of unobserved walks."""
+    honest = n - c
+    counts = np.zeros(honest, dtype=np.int64)
+    misses = 0
+    if c == 0 and not recipient_observes:
+        return counts, trials
+    pred = np.zeros(trials, dtype=np.int64)
+    live = trials
+    if c == 0:
+        while live:
+            receiver = rng.integers(0, n, size=live)
+            forward = rng.random(live) < p_f
+            counts += np.bincount(pred.compress(~forward), minlength=honest)
+            pred = receiver.compress(forward)
+            live = pred.size
+        return counts, misses
+    while live:
+        receiver = rng.integers(0, n, size=live)
+        hit = receiver >= honest
+        if hit.any():
+            counts += np.bincount(pred.compress(hit), minlength=honest)
+            receiver = receiver.compress(~hit)
+            live = receiver.size
+            if not live:
+                break
+        pred = receiver.compress(rng.random(live) < p_f)
+        misses += live - pred.size
+        live = pred.size
+    return counts, misses

@@ -11,15 +11,22 @@ import math
 import tracemalloc
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from harness import reference_simulate_walks
 from stegrouter.anonymity import (
+    _BLOCK_ELEMENTS,
+    _CHUNK,
     ENTROPY_CSV_COLUMNS,
     AdversaryScenario,
     AttackKind,
     InvalidScenarioError,
+    _bootstrap_entropies,
+    _entropy_rows,
+    _simulate_walks,
     adaptive_entropy,
     escape_probability,
     evaluate_scenarios,
@@ -263,6 +270,24 @@ class TestMonteCarlo:
             tracemalloc.stop()
         assert peak < 40_000_000, f"peak {peak / 1e6:.1f} MB"
 
+    @pytest.mark.parametrize("point", [
+        (50, 1, 0.8, AttackKind.ADAPTIVE),
+        (10, 0, 0.8, AttackKind.ADAPTIVE),
+        (10_000, 100, 0.75, AttackKind.STATIC),
+        (10_000, 1_000, 0.75, AttackKind.ADAPTIVE),
+    ], ids=lambda point: f"{point[0]}-{point[1]}-{point[2]}-{point[3].value}")
+    def test_traced_peak_stays_small(self, point):
+        # One-shot int64 walk state with float coins peaked at 30-34 MB
+        # here; two narrow state buffers and fixed-size chunks stay near
+        # 3-6 MB.
+        tracemalloc.start()
+        try:
+            monte_carlo_entropy(scenario(*point), 1_000_000, seed=5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 10_000_000, f"peak {peak / 1e6:.1f} MB"
+
     def test_ci_coverage_rate(self):
         # the interval is a statistical object: any single simulation may
         # legitimately miss the closed form (~5%), so the stable property
@@ -275,6 +300,45 @@ class TestMonteCarlo:
             if (mc := monte_carlo_entropy(s, trials=100_000, seed=seed)).ci_low
             <= closed <= mc.ci_high)
         assert contained >= 24, f"closed form covered in only {contained}/30 CIs"
+
+
+class TestChunkedDraws:
+    """The oracle draws each hop and the bootstrap in pieces; the pieces
+    must reproduce the one-shot draws exactly, so results stay put."""
+
+    @pytest.mark.parametrize("trials", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 7])
+    @pytest.mark.parametrize("n", [2, 256, 257, 65536, 65537])
+    def test_walks_match_one_shot_reference(self, n, trials):
+        # n spans the uint8/uint16/uint32 boundaries of the walk state
+        for c in sorted({0, 1, n - 1}):
+            for recipient_observes in (False, True):
+                seed = [n, c, trials, recipient_observes]
+                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+                counts, misses = _simulate_walks(n, c, 0.75, trials, rng, recipient_observes)
+                ref_counts, ref_misses = reference_simulate_walks(
+                    n, c, 0.75, trials, ref_rng, recipient_observes)
+                case = (n, c, trials, recipient_observes)
+                assert misses == ref_misses, case
+                assert np.array_equal(counts, ref_counts), case
+                assert counts.sum() + misses == trials, case
+                # the stream is left where the one-shot loop leaves it
+                assert rng.random() == ref_rng.random(), case
+
+    @pytest.mark.parametrize("width", [1, 7, 9_001, 70_000])
+    def test_bootstrap_blocks_match_one_call(self, width):
+        pvals = np.random.default_rng(width).dirichlet(np.ones(width))
+        blocks = []
+
+        def probabilities(block):
+            blocks.append(block.copy())
+            return block / 10_000
+
+        entropies = _bootstrap_entropies(
+            np.random.default_rng(1), 10_000, pvals, 200, probabilities)
+        one_call = np.random.default_rng(1).multinomial(10_000, pvals, size=200)
+        assert len(blocks) == -(-200 // max(1, _BLOCK_ELEMENTS // width))
+        assert np.array_equal(np.concatenate(blocks), one_call)
+        assert np.array_equal(entropies, _entropy_rows(one_call / 10_000))
 
 
 # SHA-256 of the JSON row [entropy, max, ci_low, ci_high, trials,

@@ -166,11 +166,6 @@ class TestMessages:
         assert (sizes.discovery, sizes.hello) == (64, 32)
         assert (sizes.update_header, sizes.update_entry) == (16, 24)
 
-    def test_update_payload_formula(self):
-        sizes = MessageSizes()
-        for rows in (0, 1, 7, 100):
-            assert sizes.update_payload(rows) == 16 + 24 * rows
-
     def test_sizes_must_be_positive(self):
         with pytest.raises(ValueError):
             MessageSizes(discovery=0)

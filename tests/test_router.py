@@ -327,7 +327,8 @@ class TestBuildUpdate:
         assert batch.recipients == (2,)
         assert list(batch.rows_for(2)) == [(1, math.inf, 0.0, 0, 0)]
         assert batch.row_count_for(2) == 1
-        assert MessageSizes().update_payload(batch.row_count_for(2)) == 40
+        sizes = MessageSizes()
+        assert sizes.update_header + sizes.update_entry * batch.row_count_for(2) == 40
 
     def test_one_message_per_up_neighbor(self):
         r = fresh_router(1)

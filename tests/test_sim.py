@@ -190,7 +190,8 @@ class TestAccounting:
             return original(router, batch, now)
 
         monkeypatch.setattr(StegRouter, "process_update", recording)
-        payloads = {r: platform.config.sizes.update_payload(batch.row_count_for(r))
+        sizes = platform.config.sizes
+        payloads = {r: sizes.update_header + sizes.update_entry * batch.row_count_for(r)
                     for r in batch.recipients}
         assert len(set(payloads.values())) > 1
         totals = list(platform._totals["routing_update"])
@@ -491,7 +492,8 @@ class TestMeters:
         # the link is past capacity for the window
         platform = self.make_two_sa_platform()
         a, b = sorted(platform.routers)
-        payload = platform.config.sizes.update_payload(100)
+        sizes = platform.config.sizes
+        payload = sizes.update_header + sizes.update_entry * 100
         assert payload == 2416
         platform._send("routing_update", a, b, payload)
         f = platform._measure(30.0)
