@@ -15,6 +15,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import csv
+import dataclasses
 import io
 import math
 import os
@@ -216,9 +217,8 @@ def _output_dir(args: argparse.Namespace) -> Path:
 # -- simulate -------------------------------------------------------------------
 
 
-def _run_one(payload: tuple[dict, str]) -> tuple[int, dict]:
-    mapping, jsonl_path = payload
-    config = SimConfig.from_mapping(mapping)
+def _run_one(payload: tuple[SimConfig, str]) -> tuple[int, dict]:
+    config, jsonl_path = payload
     report = run(config)
     write_run_jsonl(report, jsonl_path)
     return config.seed, summary_row(report)
@@ -236,11 +236,10 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
     out_dir = _output_dir(args)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    jobs = []
-    for seed in seeds:
-        mapping = base.to_mapping()
-        mapping["seed"] = seed
-        jobs.append((mapping, str(out_dir / f"{label}-seed{seed}.jsonl")))
+    jobs = [
+        (dataclasses.replace(base, seed=seed), str(out_dir / f"{label}-seed{seed}.jsonl"))
+        for seed in seeds
+    ]
 
     if args.workers > 1 and len(jobs) > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -35,30 +35,30 @@ log only grows together with the table version, so its length at the
 last processed table marks where "since then" starts.  The sender's
 neighbor entry holds both marks, so they go with the entry when it
 expires.  A first contact, a re-formed link or a table older than the
-last one processed is applied in full, in two steps.  First the routes
-through the sender take its rows (overwritten, or withdrawn where the row
-is missing, in R's split-horizon group or past the hop limit).  Then
-every row and the self row are only offered for adoption: a route through
-the sender already holds its candidate, and a route through another hop
-changes only for a better one.  Extending a key by a link makes it
-strictly worse (every link adds a hop), so a row whose key is no better
-than R's current key is passed over before it is extended.
+last one processed is applied in full: the routes through the sender to
+destinations it no longer advertises are withdrawn, then every row and
+the self row are applied.
 
-The sender-side part of an incremental pass is done once per batch.
-Extending the sender's rows by a link depends on nothing of the receiver
-but where its slice of the change log starts (its last processed sender
-version), the link's one-hop key and the hop limit: the batch fixes the
-rows and the end of the slice.  So a batch keeps, per distinct (version,
-link key, hop limit), the extended candidates of the destinations in
-that slice, and every receiver sharing the three reuses them; on a
-near-clique almost all links share one key.  What stays per receiver is
-only what depends on it: skipping its own id, split horizon, the
-adopt/overwrite/withdraw rule, and the destinations of its own loss log,
-extended on their own.  The router also keeps its number of routes per
-next hop as the table changes, so an emission copies the split-horizon
-group sizes instead of counting them.  Route keys take few distinct
-values, so each router extends a key by a link once, in its own table
-per (link key, hop limit), and looks it up after that.
+Either pass is one loop over raw rows (destination, the sender's next
+hop, its key), under one rule.  A route through the sender takes the row
+extended by the link, or is withdrawn where the row is missing, in R's
+split-horizon group or past the hop limit.  A route through another hop
+changes only for a better candidate, ties going to the lower hop id.
+Extending a key by a link makes it strictly worse (every link adds a
+hop), so a row whose raw key is no better than R's current key is passed
+over before it is extended.
+
+The raw rows of a change-log slice depend on nothing of the receiver but
+where the slice starts (its last processed sender version): the batch
+fixes the rows and the end of the slice.  So a batch keeps them per
+slice start, and every receiver with that start reuses them, whatever
+its link key and hop limit.  The rows of R's own loss log are looked up
+per pass and follow the slice's.  Route keys take few distinct values, so
+each router extends a key by a link once, in its own table per (link
+key, hop limit), which the neighbor entry of the link holds, and looks
+it up after that.  The router also keeps its number of routes per next
+hop as the table changes, so an emission copies the split-horizon group
+sizes instead of counting them.
 """
 from __future__ import annotations
 
@@ -116,15 +116,17 @@ class RouterTimers:
 @dataclass(slots=True)
 class NeighborEntry:
     """A steg-link as one endpoint sees it: the method it sends over, that
-    method's one-hop key, when the peer was last heard from (by hello or
-    discovery), whether the platform vouches for the peer (see
-    `StegRouter.vouch` and `StegRouter.is_up`), and the marks of the
+    method's one-hop key, the owner's table of keys extended by that link
+    key (see `StegRouter._extend_key`), when the peer was last heard from
+    (by hello or discovery), whether the platform vouches for the peer
+    (see `StegRouter.vouch` and `StegRouter.is_up`), and the marks of the
     peer's last processed table: its version, and the owner's loss log
     length right after it (see `StegRouter.process_update`).  Until a
     table is processed over the link, `seen_version` is `UNSEEN`."""
 
     best_method: StegMethodId
     link_key: Key
+    table: dict[Key, Optional[Key]]
     last_hello_at: float
     peer_alive: bool = False
     seen_version: int = UNSEEN
@@ -137,6 +139,9 @@ Route = tuple[AgentId, Key]
 
 # A table row on the wire: (destination, bottleneck_bps, delay_s, worst_rank, hops).
 Row = tuple[AgentId, float, float, int, int]
+
+#: The raw row of a destination the sender does not advertise.
+NO_ROW: tuple[None, None] = (None, None)
 
 
 @dataclass(slots=True)
@@ -152,10 +157,12 @@ class UpdateBatch:
     `log` is the sender's change log, read only up to `sender_version`,
     its length when the batch was built, which keeps the batch a snapshot.
 
-    `extended` is the one mutable part: a memo of `_extend` results for the
-    change-log slices its receivers apply, keyed by (slice start, link key,
-    hop limit).  It belongs to this batch alone, is dropped with it, and is
-    left out of equality.
+    `slices` is the one mutable part: a memo of `raw_rows` for the
+    change-log slices its receivers apply, keyed by the slice start (the
+    receiver's last processed sender version).  Raw rows hold the sender's
+    own keys, so receivers over every link key and hop limit share them.
+    The memo belongs to this batch alone, is dropped with it, and is left
+    out of equality.
     """
 
     sender: AgentId
@@ -164,7 +171,17 @@ class UpdateBatch:
     group_sizes: dict[AgentId, int]  # routes per sender next hop
     recipients: tuple[AgentId, ...]
     log: list[AgentId]
-    extended: dict = field(default_factory=dict, compare=False, repr=False)
+    slices: dict = field(default_factory=dict, compare=False, repr=False)
+
+    def raw_rows(self, dests: Iterable[AgentId]) -> dict[AgentId, tuple]:
+        """dest -> (the sender's next hop, its key) for each of `dests`:
+        `NO_ROW` for a destination the sender does not advertise, and
+        (None, SELF_KEY) for the sender itself."""
+        sent = self.routes
+        rows = {dest: sent.get(dest, NO_ROW) for dest in dests}
+        if self.sender in rows:
+            rows[self.sender] = (None, SELF_KEY)
+        return rows
 
     def rows_for(self, receiver: AgentId) -> Iterator[Row]:
         """The rows of the message addressed to `receiver`, self row first."""
@@ -242,9 +259,11 @@ class StegRouter:
             return True
         method = best_method_on_link(shared, self.profiles)
         profile = self.profiles[method]
+        link_key = (-profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1)
         self.neighbors[advertiser] = NeighborEntry(
             best_method=method,
-            link_key=(-profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1),
+            link_key=link_key,
+            table=self._tables.setdefault((link_key, self.hop_limit), {}),
             last_hello_at=now,
         )
         return True
@@ -365,84 +384,57 @@ class StegRouter:
             return False  # nothing settled before can have changed since
         if not (entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time):
             return False  # the sender is not Up
-        log = self._log
-        version = len(log)
-        lost = self._lost
-        seen_version = entry.seen_version
-        if batch.sender_version < seen_version:
-            self._full_pass(batch, entry.link_key)
-        else:
-            sender = batch.sender
-            link_key = entry.link_key
-            hop_limit = self.hop_limit
-            memo_key = (seen_version, link_key, hop_limit)
-            extended = batch.extended.get(memo_key)
-            if extended is None:
-                extended = batch.extended[memo_key] = self._extend(
-                    batch, batch.log[seen_version : batch.sender_version], link_key, hop_limit
-                )
-            if len(lost) > entry.seen_lost:
-                extended = {**extended, **self._extend(batch, lost[entry.seen_lost :], link_key, hop_limit)}
-
-            me = self.agent_id
-            routes = self.routes
-            via = self._via
-            for dest, (next_hop, key) in extended.items():
-                if dest == me:
-                    continue
-                if next_hop == me:
-                    key = None
-                current = routes.get(dest)
-                if current is None:
-                    if key is not None:
-                        via[sender] = via.get(sender, 0) + 1
-                        routes[dest] = (sender, key)
-                        log.append(dest)
-                    continue
-                cur_hop, cur_key = current
-                if cur_hop == sender:
-                    if key is None:
-                        del routes[dest]
-                        via[sender] -= 1
-                        lost.append(dest)
-                    elif key != cur_key:
-                        routes[dest] = (sender, key)
-                        if key > cur_key:
-                            lost.append(dest)
-                    else:
-                        continue
-                    log.append(dest)
-                # Adopt when key < cur_key, or key == cur_key and sender <
-                # cur_hop, written so that a losing candidate (the common
-                # case) costs one tuple comparison.
-                elif key is not None and key <= cur_key and (sender < cur_hop or key != cur_key):
-                    via[cur_hop] -= 1
-                    via[sender] = via.get(sender, 0) + 1
-                    routes[dest] = (sender, key)
-                    log.append(dest)
-
-        entry.seen_version = batch.sender_version
-        entry.seen_lost = len(lost)
-        return len(log) != version
-
-    def _full_pass(self, batch: UpdateBatch, link_key: Key) -> None:
-        """Apply the sender's whole table in two steps: settle the routes
-        through the sender, then offer every row for adoption alone (see
-        the module docstring)."""
         sender = batch.sender
         me = self.agent_id
         routes = self.routes
         log = self._log
+        lost = self._lost
         via = self._via
+        version = len(log)
+        seen_version = entry.seen_version
+        if batch.sender_version < seen_version:
+            # In full: withdraw the routes through the sender that it no
+            # longer advertises, then take every row and the self row.
+            sent = batch.routes
+            gone = [
+                (dest, NO_ROW) for dest, (hop, _) in routes.items()
+                if hop == sender and dest not in sent and dest != sender
+            ] if via.get(sender) else ()
+            rows = chain(gone, sent.items(), ((sender, (None, SELF_KEY)),))
+        else:
+            slices = batch.slices
+            rows = slices.get(seen_version)
+            if rows is None:
+                rows = slices[seen_version] = batch.raw_rows(
+                    batch.log[seen_version : batch.sender_version]
+                )
+            rows = rows.items()
+            if len(lost) > entry.seen_lost:
+                rows = chain(rows, batch.raw_rows(lost[entry.seen_lost :]).items())
+
+        table = entry.table
+        link_key = entry.link_key
         hop_limit = self.hop_limit
-        table = self._tables.setdefault((link_key, hop_limit), {})
-        sent = batch.routes
-        if via.get(sender):
-            lost = self._lost
-            through = [dest for dest, (hop, _) in routes.items() if hop == sender]
-            for dest, (next_hop, key) in self._extend(batch, through, link_key, hop_limit).items():
-                cur_key = routes[dest][1]
-                if key is None or next_hop == me:
+        for dest, (next_hop, key) in rows:
+            current = routes.get(dest)
+            if current is None:
+                if dest == me:
+                    continue
+                cur_hop = None
+            else:
+                cur_hop, cur_key = current
+                if cur_hop != sender and (key is None or key >= cur_key):
+                    continue  # extending makes a key strictly worse
+            if key is not None:
+                if next_hop == me:
+                    key = None  # split horizon
+                else:
+                    try:
+                        key = table[key]
+                    except KeyError:
+                        key = self._extend_key(table, key, link_key, hop_limit)
+            if cur_hop == sender:
+                if key is None:
                     del routes[dest]
                     via[sender] -= 1
                     lost.append(dest)
@@ -452,30 +444,20 @@ class StegRouter:
                         lost.append(dest)
                 else:
                     continue
-                log.append(dest)
-        for dest, (next_hop, key) in chain(sent.items(), ((sender, (None, SELF_KEY)),)):
-            if next_hop == me or dest == me:
+            elif key is None:
                 continue
-            current = routes.get(dest)
-            if current is not None:
-                cur_hop, cur_key = current
-                if key >= cur_key:
-                    continue  # extending makes a key strictly worse
-            try:
-                key = table[key]
-            except KeyError:
-                key = self._extend_key(table, key, link_key, hop_limit)
-            if key is None:
-                continue
-            if current is None:
-                via[sender] = via.get(sender, 0) + 1
-            elif key <= cur_key and (sender < cur_hop or key != cur_key):
-                via[cur_hop] -= 1
-                via[sender] = via.get(sender, 0) + 1
             else:
-                continue
-            routes[dest] = (sender, key)
+                if current is not None:
+                    if key > cur_key or (key == cur_key and sender > cur_hop):
+                        continue
+                    via[cur_hop] -= 1
+                via[sender] = via.get(sender, 0) + 1
+                routes[dest] = (sender, key)
             log.append(dest)
+
+        entry.seen_version = batch.sender_version
+        entry.seen_lost = len(lost)
+        return len(log) != version
 
     def _extend_key(
         self, table: dict[Key, Optional[Key]], key: Key, link_key: Key, hop_limit: int
@@ -496,33 +478,6 @@ class StegRouter:
             new = self._keys.setdefault(new, new)
         table[key] = new
         return new
-
-    def _extend(
-        self, batch: UpdateBatch, dests: Iterable[AgentId], link_key: Key, hop_limit: int
-    ) -> dict[AgentId, tuple[Optional[AgentId], Optional[Key]]]:
-        """The sender's candidate for each destination as this router sees
-        it over a link with `link_key`: dest -> (the sender's next hop, or
-        None for its self row and for rows it does not have; the key
-        extended by the link, or None when the sender does not advertise
-        the destination or the path would exceed the hop limit).  Split
-        horizon is left to the caller."""
-        table = self._tables.setdefault((link_key, hop_limit), {})
-        sender = batch.sender
-        sent = batch.routes
-        extended = {}
-        for dest in dests:
-            row = sent.get(dest)
-            if row is None:
-                if dest != sender:
-                    extended[dest] = (None, None)
-                    continue
-                row = (None, SELF_KEY)
-            next_hop, key = row
-            try:
-                extended[dest] = (next_hop, table[key])
-            except KeyError:
-                extended[dest] = (next_hop, self._extend_key(table, key, link_key, hop_limit))
-        return extended
 
     # -- inspection ---------------------------------------------------------
 
@@ -576,6 +531,7 @@ def reference_tables(
     capabilities: Mapping[AgentId, frozenset],
     profiles: Mapping[StegMethodId, StegMethodProfile],
     hop_limit: int = 32,
+    links: Optional[Collection[frozenset[AgentId]]] = None,
 ) -> dict[AgentId, dict[AgentId, tuple[float, float, int, int]]]:
     """The routes the protocol converges to on a static topology,
     computed by a generalized Dijkstra per destination instead of by the
@@ -592,6 +548,9 @@ def reference_tables(
     makes a key final once it is the smallest left on the heap.  Kept
     free of StegRouter machinery so converged protocol tables can be
     checked against an independent computation.
+
+    The links are every pair of agents sharing a method, or, given
+    `links` (unordered pairs as frozensets), only those of its pairs.
     """
     ids = sorted(capabilities)
     # agent -> (neighbor, -bandwidth, delay, rank) of the link's best method
@@ -599,7 +558,7 @@ def reference_tables(
     for i, u in enumerate(ids):
         for v in ids[i + 1 :]:
             shared = capabilities[u] & capabilities[v]
-            if not shared:
+            if not shared or (links is not None and frozenset((u, v)) not in links):
                 continue
             p = profiles[best_method_on_link(shared, profiles)]
             adjacent[u].append((v, -p.bandwidth_bps, p.delay_s, p.preference_rank))

@@ -145,6 +145,29 @@ class ReferencePlatform(Platform):
         self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
 
 
+class QuietPlatform(Platform):
+    """The platform with its steg-link graph frozen from `quiet_at` on: no
+    discovery walk starts or is delivered and no agent migrates, so only
+    hellos, expiry, periodic updates and samples run, and the routers'
+    tables can settle to the fixed point over the links they hold."""
+
+    def __init__(self, config, quiet_at):
+        self.quiet_at = quiet_at
+        super().__init__(config)
+
+    def _on_discovery(self, agent_id, now):
+        if now < self.quiet_at:
+            super()._on_discovery(agent_id, now)
+
+    def _on_walk_deliver(self, holder, origin_hops, now):
+        if now < self.quiet_at:
+            super()._on_walk_deliver(holder, origin_hops, now)
+
+    def _on_migrate(self, now):
+        if now < self.quiet_at:
+            super()._on_migrate(now)
+
+
 def layer_counts(cfg):
     """Run `cfg` once and count what the benchmark's tracer counts, by
     wrapping the same class attributes: `process_update` calls, the rows

@@ -1,0 +1,88 @@
+"""The platform's own tables reach the distance-vector fixed point.
+
+`reference_tables` is checked against the round-based `harness.converge`
+elsewhere; here the routers are the `Platform`'s, with its walks,
+vouching, shared batches, batch memo, expiry and churn.  Each run goes
+quiet at `QUIET_AT` (no walk, no migration; see `harness.QuietPlatform`)
+and runs on to `END`, ten update intervals later.  Then, over the links
+the routers hold:
+
+- every router's routes to live destinations are exactly the locally
+  optimal routes (Sobrinho, IEEE/ACM ToN 2005) that `reference_tables`
+  computes: every key equals the reference one, and every live
+  destination reachable within the hop limit has a route;
+- each such route's key is the best row its neighbors offer (outside
+  split horizon, within the hop limit, extended by the link), and its
+  next hop is the lowest-id neighbor offering that key.
+
+Routes to departed agents (ghost routes counting to infinity through
+loops of three or more routers) may still be held at `END` and are not
+checked.
+"""
+
+import pytest
+
+from stegrouter.router import SELF_KEY, reference_tables
+from stegrouter.sim import SimConfig
+
+from harness import QuietPlatform
+
+QUIET_AT = 1800.0
+END = 2100.0
+
+
+def extend(link_key, key):
+    """`key` heard over a link with `link_key`."""
+    return (max(link_key[0], key[0]), link_key[1] + key[1], max(link_key[2], key[2]), key[3] + 1)
+
+
+def settled_platform(n_agents, migration_rate, seed):
+    config = SimConfig(n_agents=n_agents, migration_rate=migration_rate, seed=seed, duration=END)
+    platform = QuietPlatform(config, QUIET_AT)
+    platform.run_until(END)
+    return platform
+
+
+@pytest.mark.parametrize("n_agents, migration_rate, seed", [
+    (250, 0.0, 1), (250, 0.0, 2), (250, 0.0, 3),
+    (250, 1 / 60, 1), (250, 1 / 60, 2), (250, 1 / 60, 3),
+    (1000, 0.0, 1),
+])
+def test_platform_tables_reach_the_fixed_point(n_agents, migration_rate, seed):
+    platform = settled_platform(n_agents, migration_rate, seed)
+    routers = platform.routers
+    hop_limit = platform.config.hop_limit
+    links = {frozenset((u, v)) for u, router in routers.items() for v in router.neighbors}
+    assert all(u in routers and v in routers for u, v in links)
+
+    want = reference_tables(
+        {agent: router.capabilities for agent, router in routers.items()},
+        platform.profiles, hop_limit, links,
+    )
+    got = {
+        agent: {
+            dest: (-key[0],) + key[1:]
+            for dest, (_, key) in router.routes.items() if dest in routers
+        }
+        for agent, router in routers.items()
+    }
+    assert got == want
+
+    for agent, router in routers.items():
+        for dest, (next_hop, key) in router.routes.items():
+            if dest not in routers:
+                continue
+            offers = {}
+            for peer, entry in router.neighbors.items():
+                if peer == dest:
+                    row = SELF_KEY
+                else:
+                    route = routers[peer].routes.get(dest)
+                    if route is None or route[0] == agent:
+                        continue
+                    row = route[1]
+                if row[3] < hop_limit:
+                    offers[peer] = extend(entry.link_key, row)
+            best = min(offers.values())
+            assert key == best, (agent, dest)
+            assert next_hop == min(peer for peer, offer in offers.items() if offer == best)
