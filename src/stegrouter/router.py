@@ -19,7 +19,7 @@ treated as unreachable.
 Updates are processed incrementally.  Each router logs, in order, every
 destination whose route changed, and apart from that every destination
 whose route got worse or was removed.  Every table change logs at least
-one destination, so the change log's length is the table version.  Once
+one destination, so the table version counts every entry logged.  Once
 a receiver R has processed sender S's table, every destination d is
 settled: if S advertises d with candidate key c, R's route to d goes via
 S with key c, or via another hop with a better key (an equal key only
@@ -38,6 +38,13 @@ expires.  A first contact, a re-formed link or a table older than the
 last one processed is applied in full: the routes through the sender to
 destinations it no longer advertises are withdrawn, then every row and
 the self row are applied.
+
+A change log holds only what some neighbor may still read: once every
+neighbor has processed a table, its sender drops the entries before
+that table's version (`trim_log`), so the table version is the number
+of entries trimmed plus the number held.  A receiver whose mark lies
+before the first entry a batch holds is applied in full too; by
+settledness that comes out the same as the dropped slice would have.
 
 Either pass is one loop over raw rows (destination, the sender's next
 hop, its key), under one rule.  A route through the sender takes the row
@@ -154,8 +161,11 @@ class UpdateBatch:
     `routes` is a copy of the sender's route table; with the sender's self
     row in front, it is what the wire carries, and the message addressed
     to neighbor X skips the routes whose next hop is X (split horizon).
-    `log` is the sender's change log, read only up to `sender_version`,
-    its length when the batch was built, which keeps the batch a snapshot.
+    `log` is the sender's change log, whose first entry has table version
+    `base`; it is read only up to `sender_version`, the sender's table
+    version when the batch was built, which keeps the batch a snapshot.
+    A trim replaces the sender's list instead of shortening it, so the
+    batch's `log` and `base` stay consistent.
 
     `slices` is the one mutable part: a memo of `raw_rows` for the
     change-log slices its receivers apply, keyed by the slice start (the
@@ -171,6 +181,7 @@ class UpdateBatch:
     group_sizes: dict[AgentId, int]  # routes per sender next hop
     recipients: tuple[AgentId, ...]
     log: list[AgentId]
+    base: int  # table version of log[0]
     slices: dict = field(default_factory=dict, compare=False, repr=False)
 
     def raw_rows(self, dests: Iterable[AgentId]) -> dict[AgentId, tuple]:
@@ -217,9 +228,10 @@ class StegRouter:
         self.vouched = 0
         self.last_beacon = -math.inf
         self.routes: dict[AgentId, Route] = {}
-        # Destinations in the order their route changed (_log) or got worse
-        # or was removed (_lost).
+        # Destinations in the order their route changed (_log, from table
+        # version _base on) or got worse or was removed (_lost).
         self._log: list[AgentId] = []
+        self._base = 0
         self._lost: list[AgentId] = []
         # next hop -> number of routes through it (entries may be zero)
         self._via: dict[AgentId, int] = {}
@@ -230,7 +242,7 @@ class StegRouter:
 
     @property
     def table_version(self) -> int:
-        return len(self._log)
+        return self._base + len(self._log)
 
     # -- neighbor maintenance -------------------------------------------
 
@@ -356,12 +368,20 @@ class StegRouter:
             return None
         return UpdateBatch(
             sender=self.agent_id,
-            sender_version=len(self._log),
+            sender_version=self.table_version,
             routes=dict(self.routes),
             group_sizes=dict(self._via),
             recipients=tuple(self.neighbors),
             log=self._log,
+            base=self._base,
         )
+
+    def trim_log(self, version: int) -> None:
+        """Drop the change-log entries before table version `version`,
+        which every neighbor has read.  The list is replaced, not
+        shortened, so batches built before keep their snapshot."""
+        self._log = self._log[version - self._base :]
+        self._base = version
 
     # -- update processing ------------------------------------------------
 
@@ -392,9 +412,20 @@ class StegRouter:
         via = self._via
         version = len(log)
         seen_version = entry.seen_version
-        if batch.sender_version < seen_version:
-            # In full: withdraw the routes through the sender that it no
-            # longer advertises, then take every row and the self row.
+        rows = None
+        if seen_version <= batch.sender_version:
+            slices = batch.slices
+            rows = slices.get(seen_version)
+            if rows is None and seen_version >= batch.base:
+                base = batch.base
+                rows = slices[seen_version] = batch.raw_rows(
+                    batch.log[seen_version - base : batch.sender_version - base]
+                )
+        if rows is None:
+            # In full (a table older than the last one processed, or a
+            # slice since then that was trimmed): withdraw the routes
+            # through the sender that it no longer advertises, then take
+            # every row and the self row.
             sent = batch.routes
             gone = [
                 (dest, NO_ROW) for dest, (hop, _) in routes.items()
@@ -402,12 +433,6 @@ class StegRouter:
             ] if via.get(sender) else ()
             rows = chain(gone, sent.items(), ((sender, (None, SELF_KEY)),))
         else:
-            slices = batch.slices
-            rows = slices.get(seen_version)
-            if rows is None:
-                rows = slices[seen_version] = batch.raw_rows(
-                    batch.log[seen_version : batch.sender_version]
-                )
             rows = rows.items()
             if len(lost) > entry.seen_lost:
                 rows = chain(rows, batch.raw_rows(lost[entry.seen_lost :]).items())

@@ -511,6 +511,9 @@ class Platform:
         batch = router.build_update(now)
         if batch is not None:
             self._emit(batch, batch.recipients, now)
+            # Every link is vouched both ways and a departed recipient has
+            # no router, so every live neighbor has now read this table.
+            router.trim_log(batch.sender_version)
         self.kernel.schedule(now + self.config.timers.update_interval, _UPDATE, agent_id)
 
     def _on_discovery(self, agent_id: AgentId, now: float) -> None:

@@ -32,7 +32,7 @@ from stegrouter.sim import (
     write_run_jsonl,
 )
 
-from harness import digest_under_hash_seed, dyadic_delay_methods
+from harness import digest_under_hash_seed, dyadic_delay_methods, run_in_child
 
 # one universally shared method: every SA pair has a link, graph always connected
 TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
@@ -428,6 +428,42 @@ class TestMigration:
         assert means[0] >= means[1] >= means[2], (
             f"mean final convergence_level not ordered by churn: "
             f"M=0 {means[0]:.4f}, M=1/120 {means[1]:.4f}, M=1/60 {means[2]:.4f}")
+
+
+class TestChangeLogs:
+    @pytest.mark.parametrize("cfg", [
+        SimConfig(n_agents=1000, seed=1), SimConfig(migration_rate=1 / 60, seed=1),
+    ], ids=["n1000", "churn"])
+    def test_routers_hold_only_what_a_neighbor_has_yet_to_read(self, cfg):
+        # every periodic emission reaches every live neighbor, so its
+        # sender may drop its change log up to that table; without the
+        # trim the N=1000 routers hold 61,850 entries at the horizon
+        platform = Platform(cfg)
+        platform.run_until(cfg.duration)
+        routers = platform.routers
+        assert sum(len(router._log) for router in routers.values()) <= 500
+        # no live receiver's mark lies before its sender's first entry
+        for router in routers.values():
+            for peer, entry in router.neighbors.items():
+                if peer in routers:
+                    assert entry.seen_version >= routers[peer]._base
+
+    @pytest.mark.slow
+    def test_n10000_report_and_memory_are_pinned(self):
+        # the report digest of the untrimmed logs, within a peak RSS budget
+        # (the untrimmed logs peaked at 242 MB).  The peak is the child's
+        # VmHWM: on Linux a child's ru_maxrss starts from the RSS of the
+        # process that forked it, here the whole test session.
+        out = run_in_child(
+            "import hashlib\n"
+            "from stegrouter.sim import SimConfig, run, run_report_lines\n"
+            "text = '\\n'.join(run_report_lines(run(SimConfig(n_agents=10000, seed=1))))\n"
+            "hwm = next(line for line in open('/proc/self/status') if line.startswith('VmHWM:'))\n"
+            "print(hashlib.sha256(text.encode()).hexdigest(), hwm.split()[1])\n"
+        )
+        digest, peak_kib = out.split()
+        assert digest == "9dc9cb99353ca9d84c8d6f67b579ddd66b1e222b7060619ff1fca680293927e7"
+        assert int(peak_kib) / 1024 <= 185
 
 
 class TestForwardProbabilityEffect:

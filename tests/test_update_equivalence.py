@@ -15,8 +15,10 @@ as many rows as `row_count_for` says, and every batch must be addressed
 to exactly the sender's neighbor entries, each of them Up.
 
 Steps cover what the simulator does and the orders it never produces:
-periodic emission to all Up neighbors or to one of them, a past batch
-delivered again (a duplicate, or a stale batch after a newer one), time
+periodic emission to all Up neighbors, after which the sender trims its
+change log as the platform does, or to one of them, a past batch
+delivered again (a duplicate, or a stale batch after a newer one, which
+can leave the receiver's mark before the sender's trimmed log), time
 passing with hellos that skip silenced links, silent neighbor loss
 followed by expiry checks, and (re-)discovery of a pair after its link
 expired.
@@ -99,7 +101,12 @@ class Network:
             recipients = batch.recipients
             if kind == "emit_one":
                 recipients = (recipients[b % len(recipients)],)
-            return self.deliver(batch, recipients)
+            returned = self.deliver(batch, recipients)
+            if kind == "emit":
+                # every recipient has been offered this table, as on the
+                # platform, so the sender drops the log before it
+                sender.trim_log(batch.sender_version)
+            return returned
         if kind == "redeliver":
             if not self.history:
                 return None
@@ -190,12 +197,11 @@ def incremental(router, batch, now):
     32,
     [("lose", 32, 1), ("emit", 60, 39), ("emit", 4, 15), ("emit", 5, 53)],
 ))
-# One emission from 0 reaches 2 over audio and 4 over image, so its batch
-# extends its rows for two link keys; then an older batch from 0 is
-# delivered to 2 again, which applies it in full and moves 2's last
-# processed version of 0 back, and the newer batch is delivered to 2 once
-# more: 2 must extend the longer change-log slice, not reuse the shorter
-# one the batch already extended for the same link key.
+# One emission from 0 reaches 2 over audio and 4 over image; then an older
+# batch from 0 is delivered to 2 again, which applies it in full and moves
+# 2's last processed version of 0 back, and the newer batch is delivered
+# to 2 once more: 2 must read the longer change-log slice from its earlier
+# mark, not the shorter one the batch's memo holds for its later mark.
 @example((
     method_table(DEFAULT_METHODS),
     {0: frozenset({"audio", "image"}), 1: frozenset({"text"}),
@@ -224,6 +230,34 @@ def incremental(router, batch, now):
     {0: frozenset({"internet"}), 1: frozenset({"internet"}), 2: frozenset({"internet"})},
     32,
     [("silence", 0, 0), ("tick", 2, 0), ("tick", 2, 0), ("emit", 0, 0)],
+))
+# A receiver two trims behind: 2 loses its link to 1 and emits, so 0
+# withdraws its route to 1, then loses its link to 3 and emits again; each
+# emission trims 2's change log.  A batch 2 sent before both losses is
+# delivered to 0 again, so 0 re-learns its route to 1 via 2 and its mark
+# of 2 moves back before both trims.  2's next batch must be applied to 0
+# in full, since the withdrawal of 1 is no longer in 2's log.
+@example((
+    method_table(SKEWED_METHODS),
+    {0: frozenset({"wide"}), 1: frozenset({"mid"}), 2: frozenset({"mid", "wide"}),
+     3: frozenset({"narrow", "wide"})},
+    3,
+    [("emit", 2, 0), ("lose", 2, 0), ("emit", 2, 0), ("lose", 3, 0), ("emit", 2, 0),
+     ("redeliver", 12, 0), ("emit", 2, 0)],
+))
+# A batch built before a trim keeps its log: 1 loses its link to 2 and
+# sends batch A to 0 alone, loses its link to 0 and sends batch B to 3
+# alone, then emits and trims.  A is delivered to 3 again, moving 3's
+# mark back into B's log, and then B is: 3 must read B's slice from that
+# mark as B was built, which a trim that shortened the shared list in
+# place would have emptied.
+@example((
+    method_table(DEFAULT_METHODS),
+    {0: frozenset({"video"}), 1: frozenset({"text", "video"}),
+     2: frozenset({"internet", "video"}), 3: frozenset({"audio", "text"})},
+    2,
+    [("emit", 1, 0), ("lose", 2, 0), ("emit_one", 1, 0), ("lose", 0, 0),
+     ("emit_one", 1, 0), ("emit", 1, 0), ("redeliver", 13, 1), ("redeliver", 14, 0)],
 ))
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
