@@ -60,12 +60,20 @@ where the slice starts (its last processed sender version): the batch
 fixes the rows and the end of the slice.  So a batch keeps them per
 slice start, and every receiver with that start reuses them, whatever
 its link key and hop limit.  The rows of R's own loss log are looked up
-per pass and follow the slice's.  Route keys take few distinct values, so
-each router extends a key by a link once, in its own table per (link
-key, hop limit), which the neighbor entry of the link holds, and looks
-it up after that.  The router also keeps its number of routes per next
-hop as the table changes, so an emission copies the split-horizon group
-sizes instead of counting them.
+per pass and follow the slice's.  The router also keeps its number of
+routes per next hop as the table changes, so an emission copies the
+split-horizon group sizes instead of counting them.
+
+A router shares its immutable values instead of rebuilding them.  A link
+key depends only on the link's method, so each router makes one link key
+per method, with one table of the keys extended by it (the hop limit is
+the router's own constant), and every neighbor entry over that method
+holds the same two objects.  Route keys take few distinct values, so a
+key is extended once per table and looked up after that; every extended
+key is interned in the router's `_keys`, so two extended keys are equal
+exactly when they are the same object.  A neighbor entry keeps the last
+route tuple (sender, key) made through its link, and a route through the
+link reuses it when its extended key is that same object.
 """
 from __future__ import annotations
 
@@ -123,13 +131,17 @@ class RouterTimers:
 @dataclass(slots=True)
 class NeighborEntry:
     """A steg-link as one endpoint sees it: the method it sends over, that
-    method's one-hop key, the owner's table of keys extended by that link
-    key (see `StegRouter._extend_key`), when the peer was last heard from
-    (by hello or discovery), whether the platform vouches for the peer
-    (see `StegRouter.vouch` and `StegRouter.is_up`), and the marks of the
-    peer's last processed table: its version, and the owner's loss log
-    length right after it (see `StegRouter.process_update`).  Until a
-    table is processed over the link, `seen_version` is `UNSEEN`."""
+    method's one-hop key and the owner's table of keys extended by that
+    link key (both the owner's one objects for the method, shared by its
+    entries over it; see `StegRouter._extend_key`), when the peer was last
+    heard from (by hello or discovery), whether the platform vouches for
+    the peer (see `StegRouter.vouch` and `StegRouter.is_up`), the marks of
+    the peer's last processed table: its version, and the owner's loss
+    log length right after it (see `StegRouter.process_update`), and the
+    last route tuple (peer, key) made through the link, which the next
+    route with the identical key object reuses.  Until a table is
+    processed over the link, `seen_version` is `UNSEEN` and `route` is
+    None."""
 
     best_method: StegMethodId
     link_key: Key
@@ -138,6 +150,7 @@ class NeighborEntry:
     peer_alive: bool = False
     seen_version: int = UNSEEN
     seen_lost: int = 0
+    route: Optional[Route] = None
 
 
 #: A route: (next hop, key); the neighbor entry of the next hop holds the
@@ -235,9 +248,9 @@ class StegRouter:
         self._lost: list[AgentId] = []
         # next hop -> number of routes through it (entries may be zero)
         self._via: dict[AgentId, int] = {}
-        # (link key, hop limit) -> {sender key: that key extended by the
-        # link, None beyond the hop limit}; and the extended keys, interned.
-        self._tables: dict[tuple[Key, int], dict[Key, Optional[Key]]] = {}
+        # method -> (its link key, {sender key: that key extended by the
+        # link, None beyond the hop limit}); and the extended keys, interned.
+        self._links: dict[StegMethodId, tuple[Key, dict[Key, Optional[Key]]]] = {}
         self._keys: dict[Key, Key] = {}
 
     @property
@@ -270,12 +283,16 @@ class StegRouter:
             entry.seen_version = UNSEEN  # the next table is applied in full
             return True
         method = best_method_on_link(shared, self.profiles)
-        profile = self.profiles[method]
-        link_key = (-profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1)
+        link = self._links.get(method)
+        if link is None:
+            profile = self.profiles[method]
+            link_key = (-profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1)
+            link = self._links[method] = (link_key, {})
+        link_key, table = link
         self.neighbors[advertiser] = NeighborEntry(
             best_method=method,
             link_key=link_key,
-            table=self._tables.setdefault((link_key, self.hop_limit), {}),
+            table=table,
             last_hello_at=now,
         )
         return True
@@ -439,7 +456,7 @@ class StegRouter:
 
         table = entry.table
         link_key = entry.link_key
-        hop_limit = self.hop_limit
+        route = entry.route
         for dest, (next_hop, key) in rows:
             current = routes.get(dest)
             if current is None:
@@ -457,18 +474,18 @@ class StegRouter:
                     try:
                         key = table[key]
                     except KeyError:
-                        key = self._extend_key(table, key, link_key, hop_limit)
+                        key = self._extend_key(table, key, link_key)
             if cur_hop == sender:
                 if key is None:
                     del routes[dest]
                     via[sender] -= 1
                     lost.append(dest)
-                elif key != cur_key:
-                    routes[dest] = (sender, key)
-                    if key > cur_key:
-                        lost.append(dest)
-                else:
+                    log.append(dest)
                     continue
+                if key == cur_key:
+                    continue
+                if key > cur_key:
+                    lost.append(dest)
             elif key is None:
                 continue
             else:
@@ -477,22 +494,29 @@ class StegRouter:
                         continue
                     via[cur_hop] -= 1
                 via[sender] = via.get(sender, 0) + 1
-                routes[dest] = (sender, key)
+            # extended keys are interned, so an equal key is the same object
+            if route is None or route[1] is not key:
+                route = (sender, key)
+            routes[dest] = route
             log.append(dest)
 
         entry.seen_version = batch.sender_version
         entry.seen_lost = len(lost)
+        entry.route = route
         return len(log) != version
 
     def _extend_key(
-        self, table: dict[Key, Optional[Key]], key: Key, link_key: Key, hop_limit: int
+        self, table: dict[Key, Optional[Key]], key: Key, link_key: Key
     ) -> Optional[Key]:
         """`key` extended by the link, or None beyond the hop limit,
         entered into `table`; route keys take few distinct values, so each
-        is extended once per table and looked up after that."""
+        is extended once per table and looked up after that.  The extended
+        key is interned in `_keys`: every key a table holds is the router's
+        one object for its value, so `process_update` may test extended
+        keys for equality by identity."""
         neg_bw, delay, rank, hops = key
         new = None
-        if hops < hop_limit:
+        if hops < self.hop_limit:
             neg_link_bw, link_delay, link_rank, _ = link_key
             new = (
                 neg_bw if neg_bw > neg_link_bw else neg_link_bw,

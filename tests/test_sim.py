@@ -466,6 +466,27 @@ class TestChangeLogs:
         assert int(peak_kib) / 1024 <= 185
 
 
+class TestSharedValues:
+    @pytest.mark.parametrize("cfg, max_tuples", [
+        (SimConfig(n_agents=1000, seed=1), 7000), (SimConfig(migration_rate=1 / 60, seed=1), 570),
+    ], ids=["n1000", "churn"])
+    def test_routers_share_link_keys_and_route_tuples(self, cfg, max_tuples):
+        # a router makes one link key per method, and a route through a
+        # link reuses the link's last route tuple when its key is the same
+        # object; with a tuple per entry and per route change the N=1000
+        # routers hold 2,810 link keys and 9,900 route tuples at the
+        # horizon, and the churn routers 312 and 626
+        platform = Platform(cfg)
+        platform.run_until(cfg.duration)
+        routers = platform.routers.values()
+        for router in routers:
+            by_method = {}
+            for entry in router.neighbors.values():
+                assert by_method.setdefault(entry.best_method, entry.link_key) is entry.link_key
+        tuples = {id(route) for router in routers for route in router.routes.values()}
+        assert len(tuples) <= max_tuples
+
+
 class TestForwardProbabilityEffect:
     def test_higher_pf_never_slower_within_noise(self):
         # raising the forwarding probability must not slow route formation:
