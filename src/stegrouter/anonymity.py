@@ -222,6 +222,9 @@ def _entropy_rows(probs: np.ndarray) -> np.ndarray:
     return 0.0 - probs.sum(axis=-1)
 
 
+# Multinomial resamples behind a Monte-Carlo confidence interval.
+_BOOTSTRAP = 200
+
 # Elements per bootstrap block: the multinomial rows are drawn, turned into
 # probabilities and reduced to entropies a block of rows at a time, so
 # neither the whole count matrix nor a float copy of it ever exists.
@@ -332,7 +335,6 @@ def monte_carlo_entropy(
     s: AdversaryScenario,
     trials: int,
     seed: int = 0,
-    bootstrap: int = 200,
 ) -> MonteCarloEntropy:
     """Estimate the adversary's inference entropy by simulating walks.
 
@@ -340,14 +342,13 @@ def monte_carlo_entropy(
     colluder are discarded (with C = 0 the delivered-to agent serves as
     the observer).  Static attacks keep every walk; an unintercepted walk
     contributes a uniform posterior over all honest agents.  The 95%
-    confidence interval comes from a multinomial bootstrap over trials.
+    confidence interval comes from a multinomial bootstrap of
+    `_BOOTSTRAP` resamples over trials.
     Bit-identical results for a fixed seed.
     """
     _require_honest_sender(s)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if bootstrap < 1:
-        raise ValueError("bootstrap must be >= 1")
     n, c = s.total_agents, s.colluders
     honest = n - c
     rng = np.random.default_rng(seed)
@@ -366,7 +367,7 @@ def monte_carlo_entropy(
         probs = counts / observations
         entropy = float(_entropy_rows(probs.copy()))
         entropies = _bootstrap_entropies(
-            rng, observations, probs, bootstrap, lambda block: block / observations
+            rng, observations, probs, _BOOTSTRAP, lambda block: block / observations
         )
     else:
         weights = counts + misses / honest
@@ -378,7 +379,7 @@ def monte_carlo_entropy(
             boot_weights /= trials
             return boot_weights
 
-        entropies = _bootstrap_entropies(rng, trials, categories, bootstrap, probabilities)
+        entropies = _bootstrap_entropies(rng, trials, categories, _BOOTSTRAP, probabilities)
     rate = observations / trials
 
     low, high = np.percentile(entropies, [2.5, 97.5])
@@ -412,7 +413,6 @@ def evaluate_scenarios(
     scenarios: Iterable[AdversaryScenario],
     oracle_trials: Optional[int] = None,
     seed: int = 0,
-    bootstrap: int = 200,
 ) -> list[dict]:
     """Closed-form evaluation of each scenario, cross-checked by the
     simulation oracle unless `oracle_trials` is None; returns one CSV-ready
@@ -442,9 +442,7 @@ def evaluate_scenarios(
         }
         if oracle_trials is not None:
             per_row_seed = (seed * 1_000_003 + index) % 2**63
-            mc = monte_carlo_entropy(
-                s, oracle_trials, seed=per_row_seed, bootstrap=bootstrap
-            )
+            mc = monte_carlo_entropy(s, oracle_trials, seed=per_row_seed)
             row.update(
                 mc_entropy_bits=mc.report.entropy_bits,
                 mc_ci_low=mc.ci_low,

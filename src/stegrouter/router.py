@@ -36,8 +36,8 @@ last processed table marks where "since then" starts.  The sender's
 neighbor entry holds both marks, so they go with the entry when it
 expires.  A first contact, a re-formed link or a table older than the
 last one processed is applied in full: the routes through the sender to
-destinations it no longer advertises are withdrawn, then every row and
-the self row are applied.
+destinations it no longer advertises are withdrawn, then every row of
+the advertised table (the route table, then the self row) is applied.
 
 A change log holds only what some neighbor may still read: once every
 neighbor has processed a table, its sender drops the entries before
@@ -45,6 +45,8 @@ that table's version (`trim_log`), so the table version is the number
 of entries trimmed plus the number held.  A receiver whose mark lies
 before the first entry a batch holds is applied in full too; by
 settledness that comes out the same as the dropped slice would have.
+Likewise each emission drops the loss-log entries every neighbor's
+mark has passed and moves the marks back by as many.
 
 Either pass is one loop over raw rows (destination, the sender's next
 hop, its key), under one rule.  A route through the sender takes the row
@@ -82,7 +84,7 @@ import sys
 from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from itertools import chain
-from typing import Collection, Iterable, Iterator, Mapping, Optional
+from typing import Collection, Iterable, Mapping, Optional
 
 from .core import AgentId, StegMethodId, StegMethodProfile
 
@@ -91,7 +93,7 @@ from .core import AgentId, StegMethodId, StegMethodProfile
 Key = tuple[float, float, int, int]
 
 #: A router's key for itself (infinite bandwidth, no delay, rank 0, 0 hops):
-#: what the self row at the front of every update message carries.
+#: what the self row at the end of every update message carries.
 SELF_KEY: Key = (-math.inf, 0.0, 0, 0)
 
 #: Above every table version, so the next table from a peer marked with it
@@ -99,17 +101,17 @@ SELF_KEY: Key = (-math.inf, 0.0, 0, 0)
 UNSEEN = sys.maxsize
 
 
+def one_hop_key(profile: StegMethodProfile) -> tuple[float, float, int]:
+    """A method's one-hop metric, lower is better: widest, then fastest,
+    then lowest preference rank."""
+    return (-profile.bandwidth_bps, profile.delay_s, profile.preference_rank)
+
+
 def best_method_on_link(
     methods: Iterable[StegMethodId], profiles: Mapping[StegMethodId, StegMethodProfile]
 ) -> StegMethodId:
-    """The shared method with the best one-hop metric: widest, then
-    fastest, then lowest preference rank."""
-
-    def one_hop(method: StegMethodId) -> tuple:
-        p = profiles[method]
-        return (-p.bandwidth_bps, p.delay_s, p.preference_rank)
-
-    return min(methods, key=one_hop)
+    """The shared method with the best one-hop metric."""
+    return min(methods, key=lambda method: one_hop_key(profiles[method]))
 
 
 @dataclass(frozen=True, slots=True)
@@ -157,9 +159,6 @@ class NeighborEntry:
 #: method of its first link.
 Route = tuple[AgentId, Key]
 
-# A table row on the wire: (destination, bottleneck_bps, delay_s, worst_rank, hops).
-Row = tuple[AgentId, float, float, int, int]
-
 #: The raw row of a destination the sender does not advertise.
 NO_ROW: tuple[None, None] = (None, None)
 
@@ -171,9 +170,10 @@ class UpdateBatch:
     changes its fields after `build_update` made it, but the class is not
     frozen, because frozen construction costs about four times as much.
 
-    `routes` is a copy of the sender's route table; with the sender's self
-    row in front, it is what the wire carries, and the message addressed
-    to neighbor X skips the routes whose next hop is X (split horizon).
+    `routes` is the advertised table: a copy of the sender's route table
+    with the self row (None, `SELF_KEY`) last.  It is what the wire
+    carries, except that the message addressed to neighbor X skips the
+    routes whose next hop is X (split horizon).
     `log` is the sender's change log, whose first entry has table version
     `base`; it is read only up to `sender_version`, the sender's table
     version when the batch was built, which keeps the batch a snapshot.
@@ -198,25 +198,14 @@ class UpdateBatch:
     slices: dict = field(default_factory=dict, compare=False, repr=False)
 
     def raw_rows(self, dests: Iterable[AgentId]) -> dict[AgentId, tuple]:
-        """dest -> (the sender's next hop, its key) for each of `dests`:
-        `NO_ROW` for a destination the sender does not advertise, and
-        (None, SELF_KEY) for the sender itself."""
+        """dest -> (the sender's next hop, its key) for each of `dests`,
+        `NO_ROW` for a destination the sender does not advertise."""
         sent = self.routes
-        rows = {dest: sent.get(dest, NO_ROW) for dest in dests}
-        if self.sender in rows:
-            rows[self.sender] = (None, SELF_KEY)
-        return rows
-
-    def rows_for(self, receiver: AgentId) -> Iterator[Row]:
-        """The rows of the message addressed to `receiver`, self row first."""
-        if receiver != self.sender:
-            yield (self.sender, math.inf, 0.0, 0, 0)
-        for dest, (next_hop, key) in self.routes.items():
-            if next_hop != receiver:
-                yield (dest, -key[0], key[1], key[2], key[3])
+        return {dest: sent.get(dest, NO_ROW) for dest in dests}
 
     def row_count_for(self, receiver: AgentId) -> int:
-        return 1 + len(self.routes) - self.group_sizes.get(receiver, 0)
+        """The rows of the message addressed to `receiver`."""
+        return len(self.routes) - self.group_sizes.get(receiver, 0)
 
 
 class StegRouter:
@@ -285,8 +274,7 @@ class StegRouter:
         method = best_method_on_link(shared, self.profiles)
         link = self._links.get(method)
         if link is None:
-            profile = self.profiles[method]
-            link_key = (-profile.bandwidth_bps, profile.delay_s, profile.preference_rank, 1)
+            link_key = (*one_hop_key(self.profiles[method]), 1)
             link = self._links[method] = (link_key, {})
         link_key, table = link
         self.neighbors[advertiser] = NeighborEntry(
@@ -376,17 +364,28 @@ class StegRouter:
     # -- update emission --------------------------------------------------
 
     def build_update(self, now: float) -> Optional[UpdateBatch]:
-        """Snapshot the table for one periodic emission, addressed to all
+        """Snapshot the advertised table for one periodic emission to all
         Up neighbors.  Returns None when there is nobody to talk to."""
         # The expiry check deletes every entry that is not Up, so every
         # neighbor left is a recipient.
         self.expire_check(now)
+        lost = self._lost
+        if lost:
+            # drop the loss-log entries every neighbor's mark has passed
+            entries = self.neighbors.values()
+            done = min([entry.seen_lost for entry in entries], default=len(lost))
+            if done:
+                del lost[:done]
+                for entry in entries:
+                    entry.seen_lost -= done
         if not self.neighbors:
             return None
+        routes = dict(self.routes)
+        routes[self.agent_id] = (None, SELF_KEY)
         return UpdateBatch(
             sender=self.agent_id,
             sender_version=self.table_version,
-            routes=dict(self.routes),
+            routes=routes,
             group_sizes=dict(self._via),
             recipients=tuple(self.neighbors),
             log=self._log,
@@ -442,13 +441,13 @@ class StegRouter:
             # In full (a table older than the last one processed, or a
             # slice since then that was trimmed): withdraw the routes
             # through the sender that it no longer advertises, then take
-            # every row and the self row.
+            # every row.
             sent = batch.routes
             gone = [
                 (dest, NO_ROW) for dest, (hop, _) in routes.items()
-                if hop == sender and dest not in sent and dest != sender
+                if hop == sender and dest not in sent
             ] if via.get(sender) else ()
-            rows = chain(gone, sent.items(), ((sender, (None, SELF_KEY)),))
+            rows = chain(gone, sent.items())
         else:
             rows = rows.items()
             if len(lost) > entry.seen_lost:
@@ -609,9 +608,9 @@ def reference_tables(
             shared = capabilities[u] & capabilities[v]
             if not shared or (links is not None and frozenset((u, v)) not in links):
                 continue
-            p = profiles[best_method_on_link(shared, profiles)]
-            adjacent[u].append((v, -p.bandwidth_bps, p.delay_s, p.preference_rank))
-            adjacent[v].append((u, -p.bandwidth_bps, p.delay_s, p.preference_rank))
+            one_hop = one_hop_key(profiles[best_method_on_link(shared, profiles)])
+            adjacent[u].append((v, *one_hop))
+            adjacent[v].append((u, *one_hop))
 
     tables: dict[AgentId, dict[AgentId, tuple]] = {u: {} for u in ids}
     for dest in ids:

@@ -36,7 +36,7 @@ from .core import (
     derive_capabilities,
     method_table,
 )
-from .router import RouterTimers, StegRouter, UpdateBatch
+from .router import RouterTimers, StegRouter, UpdateBatch, one_hop_key
 from .walk import run_walk
 
 
@@ -453,7 +453,7 @@ class Platform:
         `update_header + update_entry * batch.row_count_for(recipient)`."""
         sizes = self.config.sizes
         header, per_row = sizes.update_header, sizes.update_entry
-        rows = 1 + len(batch.routes)
+        rows = len(batch.routes)
         group_sizes = batch.group_sizes
         sender = batch.sender
         routers = self.routers
@@ -693,7 +693,7 @@ def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) 
     are unique, so the one-hop key is a total order and this recurrence
     picks the method that `best_method_on_link` picks on the mask's
     methods, at one comparison per mask."""
-    keys = [(-p.bandwidth_bps, p.delay_s, p.preference_rank) for p in profiles.values()]
+    keys = [one_hop_key(p) for p in profiles.values()]
     best = [0] * (1 << len(keys))  # mask -> index of its best method
     for mask in range(1, 1 << len(keys)):
         low = (mask & -mask).bit_length() - 1

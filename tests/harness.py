@@ -70,25 +70,24 @@ def reference_process_update(router, batch, now):
     compare, recounts the routes per next hop, and returns whether the
     table changed."""
     sender = batch.sender
-    entry = router.neighbors.get(sender)
-    if entry is None or now - entry.last_hello_at > router.timers.hold_time:
+    if not router.is_up(sender, now):
         return False
 
-    neg_link_bw, link_delay, link_rank, _ = entry.link_key
+    neg_link_bw, link_delay, link_rank, _ = router.neighbors[sender].link_key
     me = router.agent_id
     routes = router.routes
     log = router._log
     version = len(log)
 
     advertised = {}
-    for dest, bw, delay, rank, hops in batch.rows_for(me):
-        if dest == me:
+    for dest, (next_hop, (neg_bw, delay, rank, hops)) in batch.routes.items():
+        if dest == me or next_hop == me:  # split horizon
             continue
         total_hops = hops + 1
         if total_hops > router.hop_limit:
             continue
         advertised[dest] = (
-            -min(bw, -neg_link_bw),
+            max(neg_bw, neg_link_bw),
             delay + link_delay,
             max(rank, link_rank),
             total_hops,

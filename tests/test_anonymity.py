@@ -254,8 +254,6 @@ class TestMonteCarlo:
         s = scenario(10, 2, 0.75)
         with pytest.raises(ValueError):
             monte_carlo_entropy(s, trials=0)
-        with pytest.raises(ValueError):
-            monte_carlo_entropy(s, trials=100, bootstrap=0)
 
     def test_bootstrap_memory_is_blocked(self):
         # 200 bootstrap rows of 9,001 categories take 14 MB as counts;

@@ -45,6 +45,12 @@ GOLDEN = {
         SimConfig(n_agents=1000, seed=1),
         "e14e41e75cfabdd1a7d142f237d7d146f05f9ad81d0e1da282f5e954b3d75465",
     ),
+    # A binding hop limit under heavy churn: withdrawals, full passes and
+    # routes at the limit (281 of 509 at the horizon).
+    "n250-hop2-churn-seed1": (
+        SimConfig(hop_limit=2, migration_rate=0.1, seed=1),
+        "a3a3d66e5d908ff921b5341a1daba5c7ca9033ec326fc05b3743132da8767c65",
+    ),
 }
 
 

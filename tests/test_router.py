@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from stegrouter import router as router_module
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
 from stegrouter.router import (
+    SELF_KEY,
     UNSEEN,
     RouterTimers,
     StegRouter,
@@ -325,7 +326,7 @@ class TestBuildUpdate:
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         batch = r.build_update(0.0)
         assert batch.recipients == (2,)
-        assert list(batch.rows_for(2)) == [(1, math.inf, 0.0, 0, 0)]
+        assert batch.routes == {1: (None, SELF_KEY)}
         assert batch.row_count_for(2) == 1
         sizes = MessageSizes()
         assert sizes.update_header + sizes.update_entry * batch.row_count_for(2) == 40
@@ -344,11 +345,9 @@ class TestBuildUpdate:
                             2: frozenset({"internet"}),
                             3: frozenset({"internet"})})
         batch = routers[1].build_update(0.0)
-        to_2 = {row[0] for row in batch.rows_for(2)}
-        to_3 = {row[0] for row in batch.rows_for(3)}
-        assert 2 not in to_2 and 3 in to_2
-        assert 3 not in to_3 and 2 in to_3
-        assert batch.row_count_for(2) == len(list(batch.rows_for(2)))
+        assert {dest: hop for dest, (hop, _) in batch.routes.items()} == {2: 2, 3: 3, 1: None}
+        assert batch.group_sizes == {2: 1, 3: 1}
+        assert batch.row_count_for(2) == batch.row_count_for(3) == 2
 
     def test_snapshot_reused_until_table_changes(self):
         r = fresh_router(1)
@@ -364,8 +363,10 @@ class TestBuildUpdate:
         r.process_update(peer.build_update(0.0), now=1.5)
         later = r.build_update(2.0)
         assert later.sender_version == first.sender_version + 1
-        assert set(later.routes) == {2} and not first.routes
-        assert list(later.rows_for(3)) == [(1, math.inf, 0.0, 0, 0), (2, 300_000.0, 0.0, 1, 1)]
+        assert first.routes == {1: (None, SELF_KEY)}
+        # the self row comes last
+        assert list(later.routes.items()) == [(2, (2, (-300_000, 0.0, 1, 1))), (1, (None, SELF_KEY))]
+        assert later.row_count_for(2) == 1 and later.row_count_for(3) == 2
 
     def test_batch_keeps_rows_after_table_changes(self):
         # a batch is a snapshot: the sender's later table changes do not
@@ -374,12 +375,12 @@ class TestBuildUpdate:
                             3: frozenset({"internet"})})
         r1 = routers[1]
         batch = r1.build_update(0.0)
-        before = {receiver: list(batch.rows_for(receiver)) for receiver in (2, 3)}
-        assert [row[0] for row in before[2]] == [1, 3]
+        before = dict(batch.routes)
+        assert list(before) == [2, 3, 1]
         r1.expire_check(r1.timers.hold_time + 1.0)
         assert not r1.routes
-        assert {receiver: list(batch.rows_for(receiver)) for receiver in (2, 3)} == before
-        assert batch.row_count_for(2) == len(before[2])
+        assert batch.routes == before
+        assert batch.row_count_for(2) == 2
 
 
 class TestProcessUpdate:

@@ -433,20 +433,27 @@ class TestMigration:
 class TestChangeLogs:
     @pytest.mark.parametrize("cfg", [
         SimConfig(n_agents=1000, seed=1), SimConfig(migration_rate=1 / 60, seed=1),
-    ], ids=["n1000", "churn"])
+        SimConfig(migration_rate=1 / 60, seed=3),
+    ], ids=["n1000", "churn", "churn-seed3"])
     def test_routers_hold_only_what_a_neighbor_has_yet_to_read(self, cfg):
         # every periodic emission reaches every live neighbor, so its
         # sender may drop its change log up to that table; without the
-        # trim the N=1000 routers hold 61,850 entries at the horizon
+        # trim the N=1000 routers hold 61,850 entries at the horizon.  Each
+        # emission also drops the loss-log entries every neighbor's mark
+        # has passed; untrimmed, the churn routers hold 184 (seed 1) and
+        # 1,407 (seed 3) of them at the horizon
         platform = Platform(cfg)
         platform.run_until(cfg.duration)
         routers = platform.routers
         assert sum(len(router._log) for router in routers.values()) <= 500
-        # no live receiver's mark lies before its sender's first entry
+        assert sum(len(router._lost) for router in routers.values()) <= 150
+        # no live receiver's mark lies before its sender's first entry, and
+        # every loss-log mark lies within the log
         for router in routers.values():
             for peer, entry in router.neighbors.items():
                 if peer in routers:
                     assert entry.seen_version >= routers[peer]._base
+                assert 0 <= entry.seen_lost <= len(router._lost)
 
     @pytest.mark.slow
     def test_n10000_report_and_memory_are_pinned(self):

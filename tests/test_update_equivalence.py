@@ -146,7 +146,8 @@ class Network:
             assert set(kept) <= set(router.neighbors)
         for batch in self.history[batches_before:]:
             for recipient in batch.recipients:
-                assert batch.row_count_for(recipient) == len(list(batch.rows_for(recipient)))
+                rows = sum(hop != recipient for hop, _ in batch.routes.values())
+                assert batch.row_count_for(recipient) == rows
 
     def state(self):
         return {
@@ -275,3 +276,21 @@ def test_incremental_matches_full_table_rule(scenario):
         assert fast.state() == full.state(), (number, kind)
         fast.check_counts(built)
         full.check_counts(built)
+
+
+def test_a_vouched_sender_is_up_in_both_rules():
+    # the platform vouches for every live link instead of refreshing its
+    # entry by hellos, so a vouched sender heard from longer ago than the
+    # hold time is Up, and both rules apply its table
+    results = []
+    for process in (incremental, reference_process_update):
+        network = Network({1: frozenset({"internet"}), 2: frozenset({"internet"})},
+                          method_table(DEFAULT_METHODS), 32, process)
+        receiver = network.routers[2]
+        receiver.vouch(1)
+        batch = network.routers[1].build_update(0.0)
+        now = receiver.timers.hold_time + 1.0
+        assert now - receiver.neighbors[1].last_hello_at > receiver.timers.hold_time
+        results.append((process(receiver, batch, now), network.state()))
+    assert results[0] == results[1]
+    assert results[0][0] is True
