@@ -385,18 +385,61 @@ def _read_summary_rows(input_dir: str) -> list[dict]:
     return rows
 
 
+def _incomplete_beta(x: float, a: float, b: float) -> float:
+    """The regularized incomplete beta function I_x(a, b) for 0 < x < 1,
+    from its continued fraction evaluated by the modified Lentz method
+    (Numerical Recipes, 3rd ed., section 6.4).  The fraction converges
+    fast for x < (a + 1) / (a + b + 2); above that, I_x(a, b) is
+    1 - I_{1-x}(b, a)."""
+    if x > (a + 1.0) / (a + b + 2.0):
+        return 1.0 - _incomplete_beta(1.0 - x, b, a)
+    front = math.exp(
+        math.lgamma(a + b) - math.lgamma(a) - math.lgamma(b) + a * math.log(x) + b * math.log1p(-x)
+    ) / a
+    c = 1.0
+    d = 1.0 / (1.0 - (a + b) * x / (a + 1.0))
+    h = d
+    for m in range(1, 10_000):
+        # the even and the odd step of the fraction
+        for num in (
+            m * (b - m) * x / ((a + 2 * m - 1.0) * (a + 2 * m)),
+            -(a + m) * (a + b + m) * x / ((a + 2 * m) * (a + 2 * m + 1.0)),
+        ):
+            d = 1.0 / (1.0 + num * d)
+            c = 1.0 + num / c
+            h *= d * c
+        if abs(d * c - 1.0) <= sys.float_info.epsilon:
+            break
+    return front * h
+
+
+def _student_t_975(df: int) -> float:
+    """Student's t quantile t(0.975, df): the t whose upper tail
+    0.5 * I_x(df/2, 1/2), x = df / (df + t^2), is 0.025, found by
+    bisection to float resolution.  It is below 13 for every df >= 1
+    (12.7062 at df = 1)."""
+    lo, hi = 0.0, 13.0
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            return mid
+        if 0.5 * _incomplete_beta(df / (df + mid * mid), 0.5 * df, 0.5) > 0.025:
+            lo = mid
+        else:
+            hi = mid
+
+
 def _mean_ci_quantiles(values: Sequence[float]) -> tuple[float, float, float, float, float, bool]:
-    # numpy and scipy are imported here, not at module level, so that
-    # `simulate` never pays for them: only `report` needs them.
+    # numpy is imported here, not at module level, so that `simulate`
+    # never pays for it: only `entropy` and `report` need it.
     import numpy as np
-    from scipy import stats as scipy_stats
 
     arr = np.asarray(values, dtype=float)
     mean = float(arr.mean())
     if arr.size < 2:
         return mean, mean, mean, mean, mean, True
     sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
-    half = float(scipy_stats.t.ppf(0.975, arr.size - 1)) * sem
+    half = _student_t_975(arr.size - 1) * sem
     q25, q75 = (float(q) for q in np.percentile(arr, [25, 75]))
     return mean, mean - half, mean + half, q25, q75, False
 

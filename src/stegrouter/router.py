@@ -242,10 +242,6 @@ class StegRouter:
         self._links: dict[StegMethodId, tuple[Key, dict[Key, Optional[Key]]]] = {}
         self._keys: dict[Key, Key] = {}
 
-    @property
-    def table_version(self) -> int:
-        return self._base + len(self._log)
-
     # -- neighbor maintenance -------------------------------------------
 
     def ingest_discovery(
@@ -384,7 +380,7 @@ class StegRouter:
         routes[self.agent_id] = (None, SELF_KEY)
         return UpdateBatch(
             sender=self.agent_id,
-            sender_version=self.table_version,
+            sender_version=self._base + len(self._log),
             routes=routes,
             group_sizes=dict(self._via),
             recipients=tuple(self.neighbors),

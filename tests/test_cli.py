@@ -3,11 +3,17 @@
 import csv
 import dataclasses
 import json
+import math
+import random
 import typing
 
+import numpy as np
 import pytest
+from scipy import stats
 
-from stegrouter.cli import PRESETS, REPORT_CSV_COLUMNS, _SECTION_KEYS, _load_config_file, main
+from stegrouter.cli import (
+    PRESETS, REPORT_CSV_COLUMNS, _SECTION_KEYS, _load_config_file, _student_t_975, main,
+)
 from stegrouter.sim import SUMMARY_CSV_COLUMNS, SimConfig, write_summary_csv
 
 from harness import run_in_child
@@ -408,6 +414,29 @@ class TestReport:
         assert out.read_bytes() == self.PINNED_OUTPUT.encode()
 
 
+class TestStudentT:
+    # `report`'s quantile against scipy's, which the test extra installs
+
+    def test_quantile_matches_scipy(self):
+        dfs = [*range(1, 2001), 5_000, 10_000, 100_000]
+        got = np.array([_student_t_975(df) for df in dfs])
+        want = stats.t.ppf(0.975, dfs)
+        assert np.max(np.abs(got - want) / want) <= 1e-10
+
+    def test_ci_bounds_print_as_with_scipy(self):
+        # convergence times on the 10-s sampling grid, 2-40 converged runs
+        rng = random.Random(24)
+        ours = {df: _student_t_975(df) for df in range(1, 40)}
+        for _ in range(5000):
+            arr = np.array([rng.randrange(1, 181) / 6 for _ in range(rng.randint(2, 40))])
+            mean = float(arr.mean())
+            sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
+            want = float(stats.t.ppf(0.975, arr.size - 1))
+            for sign in (-1, 1):
+                bound = mean + sign * ours[arr.size - 1] * sem
+                assert f"{bound:.6g}" == f"{mean + sign * want * sem:.6g}", arr
+
+
 class TestImportPath:
     # a probe shared by the child interpreters: the loaded modules of a package
     LOADED = (
@@ -418,8 +447,8 @@ class TestImportPath:
 
     def test_simulate_imports_no_scipy(self, tmp_path):
         # numpy's and scipy's imports alone cost more than a short simulate
-        # run; only `entropy` may pull numpy in, and only `report` numpy and
-        # scipy, for its Student-t quantile
+        # run; only `entropy` and `report` may pull numpy in, and nothing
+        # scipy
         out = run_in_child(
             self.LOADED
             + "import stegrouter.sim\n"
@@ -431,28 +460,35 @@ class TestImportPath:
             "entropy_code = cli.main(['entropy', '--n', '100', '--colluders', '5', '--pf', '0.75',\n"
             f"                         '--output', {str(tmp_path / 'entropy.csv')!r}])\n"
             "entropy_loads = ['numpy' in loaded('numpy'), 'scipy' in loaded('scipy')]\n"
-            "cli._mean_ci_quantiles([5.0, 7.0])\n"
-            "print(json.dumps([code, after_import, after_simulate, entropy_code, entropy_loads,\n"
-            "                  'scipy.stats' in loaded('scipy')]))\n"
+            "print(json.dumps([code, after_import, after_simulate, entropy_code, entropy_loads]))\n"
         )
-        code, after_import, after_simulate, entropy_code, entropy_loads, ci_loads_scipy = (
+        code, after_import, after_simulate, entropy_code, entropy_loads = (
             json.loads(out.splitlines()[-1]))
         assert code == 0
         assert after_import == []
         assert after_simulate == []
         assert entropy_code == 0
-        # the probe does see numpy and scipy once they are imported
+        # the probe does see numpy once it is imported
         assert entropy_loads == [True, False]
-        assert ci_loads_scipy
 
+        # next to the simulate run's summary, the pinned report input: it
+        # holds a scenario whose CI needs the Student-t quantile
+        for name, text in TestReport.PINNED_INPUT.items():
+            (tmp_path / name).write_text(text)
         out = run_in_child(
             self.LOADED
             + "from stegrouter import cli\n"
             "before = loaded('numpy')\n"
             f"code = cli.main(['report', {str(tmp_path)!r}])\n"
-            "print(json.dumps([code, before, 'numpy' in loaded('numpy')]))\n"
+            "after_report = ['numpy' in loaded('numpy'), loaded('scipy')]\n"
+            "import scipy.stats\n"
+            "print(json.dumps([code, before, after_report, 'scipy.stats' in loaded('scipy')]))\n"
         )
-        header, row, probe = out.splitlines()
-        assert header == ",".join(REPORT_CSV_COLUMNS)
+        header, row, *rows, probe = out.splitlines(keepends=True)
+        pinned = TestReport.PINNED_OUTPUT.splitlines(keepends=True)
+        assert header == pinned[0]
         assert row.startswith("30,0.1,0.75,0,1,")
-        assert json.loads(probe) == [0, [], True]
+        assert rows == pinned[1:]
+        # `report` loads numpy and no scipy module; the probe does see
+        # scipy once it is imported
+        assert json.loads(probe) == [0, [], [True, []], True]

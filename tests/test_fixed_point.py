@@ -17,11 +17,22 @@ the routers hold:
 
 Routes to departed agents (ghost routes counting to infinity through
 loops of three or more routers) may still be held at `END` and are not
-checked.
+checked there.
+
+The default catalogue makes the link graph nearly complete (`internet`
+has occurrence 0.90), so routes have one or two hops and the hop limit
+never binds.  `SPARSE_METHODS` has sixteen carriers of occurrence 0.12,
+none dominant: at N=400 with 80 SAs the routers hold 446-638 links and
+routes run up to 9 hops, so hop limits 2 and 3 leave pairs unrouted.
+Those runs go on to `SPARSE_END`, twenty update intervals after
+`QUIET_AT`, and must hold no ghost route.  At `END` two of the churn
+runs at hop limit 32 still held 74 and 160 of them, counting towards
+the hop limit.
 """
 
 import pytest
 
+from stegrouter.core import StegMethodProfile
 from stegrouter.router import SELF_KEY, reference_tables
 from stegrouter.sim import SimConfig
 
@@ -29,6 +40,13 @@ from harness import QuietPlatform
 
 QUIET_AT = 1800.0
 END = 2100.0
+SPARSE_END = 2400.0
+
+SPARSE_METHODS = tuple(
+    StegMethodProfile(f"m{i}", f"sparse {i}", (80.0, 100.0, 225_000.0, 300_000.0)[i % 4],
+                      (0.0, 0.25, 0.5)[i % 3], 0.12, i + 1)
+    for i in range(16)
+)
 
 
 def extend(link_key, key):
@@ -36,20 +54,13 @@ def extend(link_key, key):
     return (max(link_key[0], key[0]), link_key[1] + key[1], max(link_key[2], key[2]), key[3] + 1)
 
 
-def settled_platform(n_agents, migration_rate, seed):
-    config = SimConfig(n_agents=n_agents, migration_rate=migration_rate, seed=seed, duration=END)
+def settled_platform(config):
     platform = QuietPlatform(config, QUIET_AT)
-    platform.run_until(END)
+    platform.run_until(config.duration)
     return platform
 
 
-@pytest.mark.parametrize("n_agents, migration_rate, seed", [
-    (250, 0.0, 1), (250, 0.0, 2), (250, 0.0, 3),
-    (250, 1 / 60, 1), (250, 1 / 60, 2), (250, 1 / 60, 3),
-    (1000, 0.0, 1),
-])
-def test_platform_tables_reach_the_fixed_point(n_agents, migration_rate, seed):
-    platform = settled_platform(n_agents, migration_rate, seed)
+def assert_fixed_point(platform):
     routers = platform.routers
     hop_limit = platform.config.hop_limit
     links = {frozenset((u, v)) for u, router in routers.items() for v in router.neighbors}
@@ -86,3 +97,31 @@ def test_platform_tables_reach_the_fixed_point(n_agents, migration_rate, seed):
             best = min(offers.values())
             assert key == best, (agent, dest)
             assert next_hop == min(peer for peer, offer in offers.items() if offer == best)
+
+
+@pytest.mark.parametrize("n_agents, migration_rate, seed", [
+    (250, 0.0, 1), (250, 0.0, 2), (250, 0.0, 3),
+    (250, 1 / 60, 1), (250, 1 / 60, 2), (250, 1 / 60, 3),
+    (1000, 0.0, 1),
+])
+def test_platform_tables_reach_the_fixed_point(n_agents, migration_rate, seed):
+    assert_fixed_point(settled_platform(SimConfig(
+        n_agents=n_agents, migration_rate=migration_rate, seed=seed, duration=END)))
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+@pytest.mark.parametrize("hop_limit, migration_rate", [
+    (2, 0.0), (3, 0.0), (32, 0.0), (3, 1 / 60), (32, 1 / 60),
+])
+def test_sparse_catalogue_tables_reach_the_fixed_point(hop_limit, migration_rate, seed):
+    platform = settled_platform(SimConfig(
+        n_agents=400, sa_fraction=0.2, hop_limit=hop_limit, migration_rate=migration_rate,
+        seed=seed, duration=SPARSE_END, methods=SPARSE_METHODS))
+    assert_fixed_point(platform)
+    routers = platform.routers
+    assert not [(agent, dest) for agent, router in routers.items()
+                for dest in router.routes if dest not in routers]
+    # the case is the one it claims: every pair is routed at hop limit 32,
+    # and hop limits 2 and 3 bind, leaving pairs unrouted
+    routed = sum(len(router.routes) for router in routers.values())
+    assert (routed < len(routers) * (len(routers) - 1)) == (hop_limit < 32)

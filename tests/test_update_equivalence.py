@@ -151,7 +151,7 @@ class Network:
 
     def state(self):
         return {
-            agent_id: (router.table_version, dict(router.routes))
+            agent_id: (router._base + len(router._log), dict(router.routes))
             for agent_id, router in self.routers.items()
         }
 
