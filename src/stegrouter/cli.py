@@ -19,6 +19,7 @@ import dataclasses
 import io
 import math
 import os
+import statistics
 import sys
 from pathlib import Path
 from typing import Iterable, Mapping, Optional, Sequence
@@ -339,6 +340,8 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
 # -- report -----------------------------------------------------------------------
 
 _SCENARIO_KEY = ("n_agents", "sa_fraction", "p_f", "migration_rate")
+# The per-run values `report` aggregates; an empty cell means "not reached".
+_VALUE_COLUMNS = ("convergence_time_min", "undiscovered_fraction", "mean_overhead_bps")
 
 REPORT_CSV_COLUMNS = (
     "n_agents",
@@ -371,6 +374,19 @@ def _read_summary_rows(input_dir: str) -> list[dict]:
             if reader.fieldnames is None or not set(SUMMARY_CSV_COLUMNS) <= set(reader.fieldnames):
                 continue
             for row in reader:
+                for column in _SCENARIO_KEY + _VALUE_COLUMNS:
+                    text = row[column]
+                    if text == "" and column in _VALUE_COLUMNS:
+                        continue  # not reached
+                    try:
+                        finite = math.isfinite(float(text))
+                    except (TypeError, ValueError):
+                        finite = False
+                    if not finite:
+                        raise ConfigError(
+                            f"{path}: seed {row['seed']}: column {column} holds {text!r}, "
+                            "not a finite number"
+                        )
                 run = tuple(row[k] for k in _SCENARIO_KEY) + (row["seed"],)
                 if run in sources:
                     scenario = ", ".join(f"{k}={row[k]}" for k in _SCENARIO_KEY)
@@ -430,23 +446,16 @@ def _student_t_975(df: int) -> float:
 
 
 def _mean_ci_quantiles(values: Sequence[float]) -> tuple[float, float, float, float, float, bool]:
-    # numpy is imported here, not at module level, so that `simulate`
-    # never pays for it: only `entropy` and `report` need it.
-    import numpy as np
-
-    arr = np.asarray(values, dtype=float)
-    mean = float(arr.mean())
-    if arr.size < 2:
+    mean = statistics.fmean(values)
+    if len(values) < 2:
         return mean, mean, mean, mean, mean, True
-    sem = float(arr.std(ddof=1) / math.sqrt(arr.size))
-    half = _student_t_975(arr.size - 1) * sem
-    q25, q75 = (float(q) for q in np.percentile(arr, [25, 75]))
+    sem = statistics.stdev(values) / math.sqrt(len(values))
+    half = _student_t_975(len(values) - 1) * sem
+    q25, _, q75 = statistics.quantiles(values, n=4, method="inclusive")
     return mean, mean - half, mean + half, q25, q75, False
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    import numpy as np
-
     rows = _read_summary_rows(args.input_dir)
     groups: dict[tuple, list[dict]] = {}
     for row in rows:
@@ -481,12 +490,8 @@ def _cmd_report(args: argparse.Namespace) -> int:
                 convergence_time_min_q75="",
                 ci_degenerate="",
             )
-        record["undiscovered_fraction_mean"] = (
-            f"{float(np.mean(undisc)):.6g}" if undisc else ""
-        )
-        record["mean_overhead_bps"] = (
-            f"{float(np.mean(overhead)):.6g}" if overhead else ""
-        )
+        record["undiscovered_fraction_mean"] = f"{statistics.fmean(undisc):.6g}" if undisc else ""
+        record["mean_overhead_bps"] = f"{statistics.fmean(overhead):.6g}" if overhead else ""
         out_rows.append({k: str(record[k]) for k in REPORT_CSV_COLUMNS})
 
     buf = io.StringIO()

@@ -192,7 +192,6 @@ class UpdateBatch:
     sender_version: int
     routes: dict[AgentId, Route]
     group_sizes: dict[AgentId, int]  # routes per sender next hop
-    recipients: tuple[AgentId, ...]
     log: list[AgentId]
     base: int  # table version of log[0]
     slices: dict = field(default_factory=dict, compare=False, repr=False)
@@ -314,27 +313,22 @@ class StegRouter:
             entry.peer_alive or now - entry.last_hello_at <= self.timers.hold_time
         )
 
-    def up_neighbors(self, now: float) -> Collection[AgentId]:
-        """The Up neighbors in the order their entries were made; an entry
-        no longer Up stays until the next `expire_check` deletes it.  When
-        every neighbor is vouched for, this is a view of the neighbor
-        table, not a copy, valid until the table changes."""
-        if self.vouched == len(self.neighbors):
-            return self.neighbors.keys()
-        return [nid for nid in self.neighbors if self.is_up(nid, now)]
-
     def hello_tick(self, now: float) -> Collection[AgentId]:
         """One beat of the liveness beacon: records `now` as this router's
         latest beacon and returns the addressees of this interval's hello,
-        i.e. every Up neighbor.  A hello carries no payload beyond the
-        sender's identity, so the emission is just the recipient list.  A
-        recipient that is not vouched for is refreshed only if the hello
-        is delivered through receive_hello.  Stale neighbors are merely
-        skipped here — the next expire_check (every table emission runs
-        one) deletes them and their routes, never sooner, so link loss is
-        only ever disclosed on the regular cadence."""
+        the Up neighbors in the order their entries were made.  A hello
+        carries no payload beyond the sender's identity, so the emission is
+        just the recipient list; when every neighbor is vouched for, it is
+        a view of the neighbor table, not a copy, valid until the table
+        changes.  A recipient that is not vouched for is refreshed only if
+        the hello is delivered through receive_hello.  Stale neighbors are
+        merely skipped here — the next expire_check (every table emission
+        runs one) deletes them and their routes, never sooner, so link
+        loss is only ever disclosed on the regular cadence."""
         self.last_beacon = now
-        return self.up_neighbors(now)
+        if self.vouched == len(self.neighbors):
+            return self.neighbors.keys()
+        return [nid for nid in self.neighbors if self.is_up(nid, now)]
 
     def expire_check(self, now: float) -> list[AgentId]:
         """Delete the neighbors that have gone stale, each with the routes
@@ -360,10 +354,10 @@ class StegRouter:
     # -- update emission --------------------------------------------------
 
     def build_update(self, now: float) -> Optional[UpdateBatch]:
-        """Snapshot the advertised table for one periodic emission to all
-        Up neighbors.  Returns None when there is nobody to talk to."""
-        # The expiry check deletes every entry that is not Up, so every
-        # neighbor left is a recipient.
+        """Snapshot the advertised table for one emission.  Returns None
+        when there is nobody to talk to.  The expiry check runs first and
+        deletes every entry that is not Up, so the neighbor table then
+        holds exactly the addressees of a periodic emission."""
         self.expire_check(now)
         lost = self._lost
         if lost:
@@ -383,7 +377,6 @@ class StegRouter:
             sender_version=self._base + len(self._log),
             routes=routes,
             group_sizes=dict(self._via),
-            recipients=tuple(self.neighbors),
             log=self._log,
             base=self._base,
         )

@@ -36,7 +36,7 @@ from .core import (
     derive_capabilities,
     method_table,
 )
-from .router import RouterTimers, StegRouter, UpdateBatch, one_hop_key
+from .router import RouterTimers, StegRouter, UpdateBatch, best_method_on_link
 from .walk import run_walk
 
 
@@ -252,7 +252,7 @@ class Platform:
         self._alive: list[AgentId] = []
         self._mask: dict[AgentId, int] = {}
         self._bit = {p.id: 1 << i for i, p in enumerate(config.methods)}
-        self._bw_by_mask = _best_bandwidth_by_mask(self.profiles)
+        self._bw_by_mask = _BestBandwidth(self.profiles)
         self._topology: Optional[_Topology] = None  # None: rebuild on next read
         # Departed steg agents that some table may still route to.
         self._gone: set[AgentId] = set()
@@ -510,7 +510,7 @@ class Platform:
             return
         batch = router.build_update(now)
         if batch is not None:
-            self._emit(batch, batch.recipients, now)
+            self._emit(batch, router.neighbors, now)
             # Every link is vouched both ways and a departed recipient has
             # no router, so every live neighbor has now read this table.
             router.trim_log(batch.sender_version)
@@ -683,32 +683,27 @@ def _first_sustained_full(frames: Sequence[MetricsFrame]) -> Optional[float]:
     return frames[last_below + 1].time
 
 
-def _best_bandwidth_by_mask(profiles: Mapping[StegMethodId, StegMethodProfile]) -> list[float]:
-    """Bandwidth of the best method on a link for every capability-
-    intersection bitmask, bit i standing for the i-th profile; index 0 (no
-    shared method) maps to 0.0.
+class _BestBandwidth(dict):
+    """Capability-intersection bitmask (bit i standing for the i-th profile)
+    -> bandwidth of the method `best_method_on_link` picks on a link whose
+    ends share exactly those methods, filled on first use: a run meets a
+    few dozen of the 2^k masks of a k-method catalogue."""
 
-    The best method of a mask is the better of the best method of the mask
-    without its lowest bit and the method of that bit.  Preference ranks
-    are unique, so the one-hop key is a total order and this recurrence
-    picks the method that `best_method_on_link` picks on the mask's
-    methods, at one comparison per mask."""
-    keys = [one_hop_key(p) for p in profiles.values()]
-    best = [0] * (1 << len(keys))  # mask -> index of its best method
-    for mask in range(1, 1 << len(keys)):
-        low = (mask & -mask).bit_length() - 1
-        rest = mask & (mask - 1)
-        best[mask] = low if rest == 0 or keys[low] < keys[best[rest]] else best[rest]
-    bandwidth = [float(p.bandwidth_bps) for p in profiles.values()]
-    table = [bandwidth[i] for i in best]
-    table[0] = 0.0
-    return table
+    def __init__(self, profiles: Mapping[StegMethodId, StegMethodProfile]) -> None:
+        super().__init__()
+        self._profiles = profiles
+
+    def __missing__(self, mask: int) -> float:
+        profiles = self._profiles
+        best = best_method_on_link([m for i, m in enumerate(profiles) if mask >> i & 1], profiles)
+        bw = self[mask] = float(profiles[best].bandwidth_bps)
+        return bw
 
 
 def _build_topology(
     alive_sas: Collection[AgentId],
     mask: Mapping[AgentId, int],
-    bw_by_mask: Sequence[float],
+    bw_by_mask: Mapping[int, float],
 ) -> _Topology:
     """Link count, summed best-link bandwidth and ordered connected SA
     pairs of the alive population, counted over its classes of equal

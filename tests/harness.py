@@ -54,7 +54,8 @@ def run_rounds(routers, max_rounds=200, now=0.0):
                 batches.append(batch)
         changed = False
         for batch in batches:
-            for recipient in batch.recipients:
+            # the sender's neighbor entries, as `Platform._on_update` addresses them
+            for recipient in routers[batch.sender].neighbors:
                 if routers[recipient].process_update(batch, now):
                     changed = True
         if not changed:

@@ -1,16 +1,21 @@
 """Command-line interface tests, driven in-process through main()."""
 
+import ast
 import csv
 import dataclasses
 import json
 import math
 import random
+import re
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy import stats
 
+import stegrouter
 from stegrouter.cli import (
     PRESETS, REPORT_CSV_COLUMNS, _SECTION_KEYS, _load_config_file, _student_t_975, main,
 )
@@ -413,6 +418,26 @@ class TestReport:
         assert run_cli("report", str(tmp_path), "--output", str(out)) == 0
         assert out.read_bytes() == self.PINNED_OUTPUT.encode()
 
+    # A value `report` cannot read is an input error, named by file, seed
+    # and column; read as a float, a `nan` time would count as converged.
+    @pytest.mark.parametrize("column, value", [
+        ("convergence_time_min", "nan"),
+        ("mean_overhead_bps", "inf"),
+        ("undiscovered_fraction", "abc"),
+        ("p_f", "abc"),
+    ])
+    def test_unreadable_value_is_rejected(self, tmp_path, capsys, column, value):
+        header, *rows = self.PINNED_INPUT["n250-summary.csv"].splitlines()
+        at = header.split(",").index(column)
+        cells = rows[2].split(",")
+        cells[at] = value
+        rows[2] = ",".join(cells)
+        (tmp_path / "n250-summary.csv").write_text("\n".join([header, *rows]) + "\n")
+        assert run_cli("report", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"n250-summary.csv: seed 3: column {column} holds {value!r}" in captured.err
+
 
 class TestStudentT:
     # `report`'s quantile against scipy's, which the test extra installs
@@ -447,8 +472,7 @@ class TestImportPath:
 
     def test_simulate_imports_no_scipy(self, tmp_path):
         # numpy's and scipy's imports alone cost more than a short simulate
-        # run; only `entropy` and `report` may pull numpy in, and nothing
-        # scipy
+        # run; only `entropy` may pull numpy in, and nothing scipy
         out = run_in_child(
             self.LOADED
             + "import stegrouter.sim\n"
@@ -489,6 +513,42 @@ class TestImportPath:
         assert header == pinned[0]
         assert row.startswith("30,0.1,0.75,0,1,")
         assert rows == pinned[1:]
-        # `report` loads numpy and no scipy module; the probe does see
-        # scipy once it is imported
-        assert json.loads(probe) == [0, [], [True, []], True]
+        # `report` loads neither numpy nor scipy; the probe does see scipy
+        # once it is imported
+        assert json.loads(probe) == [0, [], [False, []], True]
+
+    def test_report_runs_without_numpy(self, tmp_path):
+        # numpy blocked outright: every import of it fails in the child
+        for name, text in TestReport.PINNED_INPUT.items():
+            (tmp_path / name).write_text(text)
+        out = run_in_child(
+            "sys.modules['numpy'] = None\n"
+            "from stegrouter import cli\n"
+            f"sys.exit(cli.main(['report', {str(tmp_path)!r}]))\n"
+        )
+        assert out == TestReport.PINNED_OUTPUT
+
+    def test_numpy_is_imported_by_anonymity_alone(self):
+        # every import in the package's modules, read from their syntax
+        # trees: numpy only in the Monte-Carlo oracle's module, and nothing
+        # outside the standard library that pyproject.toml does not declare
+        tomllib = pytest.importorskip("tomllib")
+        package = Path(stegrouter.__file__).parent
+        pyproject = tomllib.loads((package.parents[1] / "pyproject.toml").read_text())
+        declared = {re.match(r"[A-Za-z0-9_.-]+", dep).group().lower()
+                    for dep in pyproject["project"]["dependencies"]}
+        imports = {}
+        for path in sorted(package.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text())):
+                if isinstance(node, ast.Import):
+                    names = [alias.name for alias in node.names]
+                elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                    names = [node.module]
+                else:
+                    continue
+                for name in names:
+                    imports.setdefault(name.partition(".")[0], set()).add(path.name)
+        third_party = {name: files for name, files in imports.items()
+                       if name not in sys.stdlib_module_names}
+        assert third_party == {"numpy": {"anonymity.py"}}
+        assert set(third_party) <= declared

@@ -17,7 +17,8 @@ the routers hold:
 
 Routes to departed agents (ghost routes counting to infinity through
 loops of three or more routers) may still be held at `END` and are not
-checked there.
+checked there; `test_ghost_routes_are_gone_by_the_bound` derives the time
+by which they are gone and checks it.
 
 The default catalogue makes the link graph nearly complete (`internet`
 has occurrence 0.90), so routes have one or two hops and the hop limit
@@ -29,6 +30,9 @@ Those runs go on to `SPARSE_END`, twenty update intervals after
 runs at hop limit 32 still held 74 and 160 of them, counting towards
 the hop limit.
 """
+
+import dataclasses
+import math
 
 import pytest
 
@@ -125,3 +129,62 @@ def test_sparse_catalogue_tables_reach_the_fixed_point(hop_limit, migration_rate
     # and hop limits 2 and 3 bind, leaving pairs unrouted
     routed = sum(len(router.routes) for router in routers.values())
     assert (routed < len(routers) * (len(routers) - 1)) == (hop_limit < 32)
+
+
+def ghost_hops(platform):
+    """The hop counts of the routes held to departed agents."""
+    routers = platform.routers
+    return [key[3] for router in routers.values()
+            for dest, (_, key) in router.routes.items() if dest not in routers]
+
+
+@pytest.mark.parametrize("config, held_at_quiet", [
+    (SimConfig(migration_rate=1 / 60, seed=1), 49),
+    (SimConfig(migration_rate=1 / 60, seed=2), 0),
+    (SimConfig(migration_rate=1 / 60, seed=3), 75),
+    (SimConfig(hop_limit=2, migration_rate=0.1, seed=1), 3),  # test_golden's n250-hop2-churn-seed1
+], ids=["churn-seed1", "churn-seed2", "churn-seed3", "hop2-churn-seed1"])
+def test_ghost_routes_are_gone_by_the_bound(config, held_at_quiet):
+    """A ghost route (to a departed agent) counts to infinity through
+    loops of three or more routers, since split horizon runs without
+    poisoned reverse, but it is gone by
+
+        T = QUIET_AT + hold_time + sampling_interval
+            + (hop_limit - 1) * update_interval.
+
+    No agent departs from `QUIET_AT` on, and a departed agent's peers
+    heard from it last before it left.  Their entries of it are stale
+    once more than `hold_time` has passed, and the first sample after
+    that (every sample runs `expire_check` on every router) deletes them
+    with the routes through them.  So from T0 = QUIET_AT + hold_time +
+    sampling_interval on, no route runs through a departed agent, and a
+    ghost route has at least 2 hops.
+
+    A route is only ever set from its next hop's advertised key, extended
+    by one hop, at the moment that hop emits.  So the fewest hops m of any
+    ghost route never falls, and every alive router emits once in every
+    `update_interval`: within one interval after t, each ghost route is
+    either overwritten by its next hop with at least m(t) + 1 hops,
+    withdrawn, or replaced by another extended ghost of at least
+    m(t) + 1 hops.  At T0 + k * update_interval every ghost route has at
+    least 2 + k hops.  A key of `hop_limit` hops is not extended, so at
+    k = hop_limit - 1 none is left.
+
+    The check steps through T0 + k * update_interval and asserts the
+    hop floor at each step.  The four runs hold 49, 0, 75 and 3 ghost
+    routes at `QUIET_AT`; looked at every 5 s, ghost routes were last
+    held at 2430, -, 2200 and 1800 s, against bounds of 2755 s (hop
+    limit 32) and 1855 s (hop limit 2).  On the first run the fewest
+    hops read 3 at T0, one above the floor, and grow by 1-2 per interval.
+    """
+    timers = config.timers
+    t0 = QUIET_AT + timers.hold_time + config.sampling_interval
+    bound = t0 + (config.hop_limit - 1) * timers.update_interval
+    platform = QuietPlatform(dataclasses.replace(config, duration=bound), QUIET_AT)
+    platform.run_until(QUIET_AT)
+    assert len(ghost_hops(platform)) == held_at_quiet
+    for k in range(config.hop_limit):
+        platform.run_until(t0 + k * timers.update_interval)
+        assert min(ghost_hops(platform), default=math.inf) >= 2 + k, k
+    assert platform.now == bound
+    assert ghost_hops(platform) == []

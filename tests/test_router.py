@@ -220,7 +220,7 @@ class TestNeighborLifecycle:
         r = fresh_router(1, ("internet", "image"))
         assert r.ingest_discovery(2, frozenset({"image"}), now=0.0) is True
         assert r.neighbors[2].best_method == "image"
-        assert set(r.up_neighbors(0.0)) == {2}
+        assert set(r.hello_tick(0.0)) == {2}
 
     def test_no_shared_method_no_neighbor(self):
         r = fresh_router(1, ("internet",))
@@ -242,15 +242,15 @@ class TestNeighborLifecycle:
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         hold = r.timers.hold_time
-        assert set(r.up_neighbors(hold)) == {2}
-        assert not r.up_neighbors(hold + 1e-9)
+        assert set(r.hello_tick(hold)) == {2}
+        assert not r.hello_tick(hold + 1e-9)
 
     def test_hello_keeps_neighbor_alive(self):
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         for t in (5.0, 10.0, 15.0, 20.0):
             r.receive_hello(2, t)
-        assert set(r.up_neighbors(22.0)) == {2}
+        assert set(r.hello_tick(22.0)) == {2}
 
     def test_late_hello_never_moves_last_heard_back(self):
         r = fresh_router(1)
@@ -262,7 +262,7 @@ class TestNeighborLifecycle:
     def test_silent_neighbor_expires(self):
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
-        assert not r.up_neighbors(20.0)
+        assert not r.hello_tick(20.0)
 
     def test_hello_tick_addresses_up_neighbors_only(self):
         r = fresh_router(1)
@@ -325,18 +325,23 @@ class TestBuildUpdate:
         r = fresh_router(1)
         r.ingest_discovery(2, frozenset({"internet"}), now=0.0)
         batch = r.build_update(0.0)
-        assert batch.recipients == (2,)
         assert batch.routes == {1: (None, SELF_KEY)}
         assert batch.row_count_for(2) == 1
         sizes = MessageSizes()
         assert sizes.update_header + sizes.update_entry * batch.row_count_for(2) == 40
 
     def test_one_message_per_up_neighbor(self):
+        # an emission addresses the neighbor entries that build_update's
+        # expiry check leaves: every Up neighbor, in the order met
         r = fresh_router(1)
         for peer in (4, 2, 9):
             r.ingest_discovery(peer, frozenset({"internet"}), now=0.0)
-        batch = r.build_update(0.0)
-        assert sorted(batch.recipients) == [2, 4, 9]
+        r.build_update(0.0)
+        assert list(r.neighbors) == [4, 2, 9]
+        r.receive_hello(4, 10.0)
+        r.receive_hello(9, 10.0)
+        r.build_update(20.0)
+        assert list(r.neighbors) == [4, 9]
 
     def test_split_horizon_omits_routes_learned_from_receiver(self):
         # star with center 1: leaves 2 and 3; center learns each leaf from
@@ -355,8 +360,7 @@ class TestBuildUpdate:
         first = r.build_update(0.0)
         # an unchanged table snapshots to the same contents and version
         again = r.build_update(1.0)
-        assert (again.sender_version, again.routes, again.recipients) == (
-            first.sender_version, first.routes, first.recipients)
+        assert (again.sender_version, again.routes) == (first.sender_version, first.routes)
         # a table change shows in the next snapshot and bumps its version
         peer = fresh_router(2)
         peer.ingest_discovery(1, frozenset({"internet"}), now=0.0)
@@ -495,7 +499,7 @@ class TestProcessUpdate:
             for batch in batches:
                 if batch is None:
                     continue
-                for recipient in batch.recipients:
+                for recipient in routers[batch.sender].neighbors:
                     if recipient in routers:
                         routers[recipient].process_update(batch, 16.0)
         assert 3 not in routers[1].routes

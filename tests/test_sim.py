@@ -23,7 +23,6 @@ from stegrouter.sim import (
     MetricsFrame,
     Platform,
     SimConfig,
-    _best_bandwidth_by_mask,
     _build_topology,
     _first_sustained_full,
     run,
@@ -179,7 +178,8 @@ class TestAccounting:
         for peer in peers[:2]:
             platform._emit(platform.routers[peer].build_update(0.0), (sender,), 0.0)
         batch = platform.routers[sender].build_update(1.0)
-        assert batch.recipients == tuple(peers)
+        recipients = platform.routers[sender].neighbors
+        assert tuple(recipients) == tuple(peers)
         departed = peers[2]
         platform.remove_agent(departed)
         processed = []
@@ -192,13 +192,13 @@ class TestAccounting:
         monkeypatch.setattr(StegRouter, "process_update", recording)
         sizes = platform.config.sizes
         payloads = {r: sizes.update_header + sizes.update_entry * batch.row_count_for(r)
-                    for r in batch.recipients}
+                    for r in recipients}
         assert len(set(payloads.values())) > 1
         totals = list(platform._totals["routing_update"])
         window = dict(platform._win_link_bits)
         del rows[:]
 
-        platform._emit(batch, batch.recipients, 1.0)
+        platform._emit(batch, recipients, 1.0)
 
         assert platform._totals["routing_update"] == [
             totals[0] + len(peers), totals[1] + sum(payloads.values())]
@@ -660,8 +660,9 @@ class TestTopology:
         pair = np.bitwise_and.outer(masks, masks)
         np.fill_diagonal(pair, 0)
         upper = pair[np.triu_indices(len(masks), 1)]
-        numpy_sum = float(np.asarray(platform._bw_by_mask)[upper].sum())
-        topo = _build_topology(platform.routers, platform._mask, platform._bw_by_mask)
+        bw = platform._bw_by_mask
+        numpy_sum = float(np.array([bw[m] if m else 0.0 for m in upper.tolist()]).sum())
+        topo = _build_topology(platform.routers, platform._mask, bw)
         assert topo.sum_best_bw.hex() == numpy_sum.hex()
         assert topo.n_links == int((upper != 0).sum())
 
@@ -675,12 +676,14 @@ class TestTopology:
                                   rng.choice((0.0, 0.5)), 0.5, ranks[i])
                 for i in range(width))
             ids = list(table)
-            got = _best_bandwidth_by_mask(table)
-            expected = [0.0] + [
-                table[best_method_on_link([m for i, m in enumerate(ids) if mask >> i & 1],
-                                          table)].bandwidth_bps
-                for mask in range(1, 1 << width)]
-            assert list(got) == expected
+            lazy = sim._BestBandwidth(table)
+            assert not lazy  # filled on first use
+            for mask in range(1, 1 << width):
+                shared = [m for i, m in enumerate(ids) if mask >> i & 1]
+                # the best method is the widest: bandwidth leads the one-hop key
+                assert lazy[mask] == table[best_method_on_link(shared, table)].bandwidth_bps
+                assert lazy[mask] == max(table[m].bandwidth_bps for m in shared)
+            assert len(lazy) == (1 << width) - 1
 
 
 class TestSerialization:

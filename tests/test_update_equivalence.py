@@ -94,11 +94,10 @@ class Network:
             if batch is None:
                 return None
             # the expiry check of build_update left only Up neighbors, and
-            # the batch addresses every one of them
-            assert batch.recipients == tuple(sender.neighbors)
-            assert all(sender.is_up(r, self.now) for r in batch.recipients)
-            self.history.append(batch)
-            recipients = batch.recipients
+            # the emission addresses every one of them
+            recipients = tuple(sender.neighbors)
+            assert all(sender.is_up(r, self.now) for r in recipients)
+            self.history.append((batch, recipients))
             if kind == "emit_one":
                 recipients = (recipients[b % len(recipients)],)
             returned = self.deliver(batch, recipients)
@@ -110,8 +109,8 @@ class Network:
         if kind == "redeliver":
             if not self.history:
                 return None
-            batch = self.history[a % len(self.history)]
-            return self.deliver(batch, (batch.recipients[b % len(batch.recipients)],))
+            batch, recipients = self.history[a % len(self.history)]
+            return self.deliver(batch, (recipients[b % len(recipients)],))
         if kind == "tick":
             self.tick((1.0, 5.0, 10.0)[a % 3])
             return None
@@ -144,8 +143,8 @@ class Network:
             kept = {hop: count for hop, count in router._via.items() if count}
             assert kept == Counter(next_hop for next_hop, _ in router.routes.values())
             assert set(kept) <= set(router.neighbors)
-        for batch in self.history[batches_before:]:
-            for recipient in batch.recipients:
+        for batch, recipients in self.history[batches_before:]:
+            for recipient in recipients:
                 rows = sum(hop != recipient for hop, _ in batch.routes.values())
                 assert batch.row_count_for(recipient) == rows
 
