@@ -22,7 +22,7 @@ import os
 import statistics
 import sys
 from pathlib import Path
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Mapping, Optional, Sequence
 
 from .sim import (
     ConfigError,
@@ -209,10 +209,17 @@ def _parse_override(item: str) -> dict:
 def _output_dir(args: argparse.Namespace) -> Path:
     if args.output_dir is not None:
         return Path(args.output_dir)
-    env = os.environ.get(OUTPUT_DIR_ENV)
-    if env:
-        return Path(env)
-    return Path("runs")
+    return Path(os.environ.get(OUTPUT_DIR_ENV) or "runs")
+
+
+def _write_output(path: str, text: str) -> None:
+    """Write `text` to stdout for `-`; otherwise write it to `path`
+    atomically and print the path."""
+    if path == "-":
+        sys.stdout.write(text)
+    else:
+        atomic_write_text(path, text)
+        print(path)
 
 
 # -- simulate -------------------------------------------------------------------
@@ -309,11 +316,7 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
     ns = _parse_int_grid(args.n, "population")
     cs = _parse_int_grid(args.colluders, "colluder")
     pfs = _parse_float_grid(args.pf, "p_f")
-    kinds = {
-        "adaptive": (AttackKind.ADAPTIVE,),
-        "static": (AttackKind.STATIC,),
-        "both": (AttackKind.ADAPTIVE, AttackKind.STATIC),
-    }[args.attack]
+    kinds = list(AttackKind) if args.attack == "both" else [AttackKind(args.attack)]
     try:
         scenarios = [
             AdversaryScenario(total_agents=n, colluders=c, p_f=pf, attack=kind)
@@ -327,13 +330,9 @@ def _cmd_entropy(args: argparse.Namespace) -> int:
         )
     except InvalidScenarioError as exc:
         raise ConfigError(str(exc)) from None
-    if args.output == "-":
-        write_entropy_csv(rows, sys.stdout)
-    else:
-        buf = io.StringIO()
-        write_entropy_csv(rows, buf)
-        atomic_write_text(args.output, buf.getvalue())
-        print(args.output)
+    buf = io.StringIO()
+    write_entropy_csv(rows, buf)
+    _write_output(args.output, buf.getvalue())
     return EXIT_OK
 
 
@@ -361,11 +360,25 @@ REPORT_CSV_COLUMNS = (
 )
 
 
-def _read_summary_rows(input_dir: str) -> list[dict]:
+def _number(path: Path, row: dict, column: str) -> float:
+    try:
+        value = float(row[column])
+    except (TypeError, ValueError):
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{path}: seed {row['seed']}: column {column} holds "
+                          f"{row[column]!r}, not a finite number")
+    return value
+
+
+def _read_scenarios(input_dir: str) -> dict[tuple, tuple[dict, list]]:
+    """Scenario values -> (its cells as first read, files in name order;
+    per run, the value columns, None for an empty cell), from every
+    summary CSV under `input_dir`, each row read once."""
     directory = Path(input_dir)
     if not directory.is_dir():
         raise ConfigError(f"not a directory: {input_dir}")
-    rows: list[dict] = []
+    scenarios: dict[tuple, tuple[dict, list]] = {}
     # (scenario, seed) -> the file its run was first read from
     sources: dict[tuple, Path] = {}
     for path in sorted(directory.glob("*.csv")):
@@ -374,31 +387,23 @@ def _read_summary_rows(input_dir: str) -> list[dict]:
             if reader.fieldnames is None or not set(SUMMARY_CSV_COLUMNS) <= set(reader.fieldnames):
                 continue
             for row in reader:
-                for column in _SCENARIO_KEY + _VALUE_COLUMNS:
-                    text = row[column]
-                    if text == "" and column in _VALUE_COLUMNS:
-                        continue  # not reached
-                    try:
-                        finite = math.isfinite(float(text))
-                    except (TypeError, ValueError):
-                        finite = False
-                    if not finite:
-                        raise ConfigError(
-                            f"{path}: seed {row['seed']}: column {column} holds {text!r}, "
-                            "not a finite number"
-                        )
-                run = tuple(row[k] for k in _SCENARIO_KEY) + (row["seed"],)
+                key = tuple(_number(path, row, c) for c in _SCENARIO_KEY)
+                values = tuple(
+                    None if row[c] == "" else _number(path, row, c) for c in _VALUE_COLUMNS
+                )
+                run = key + (_number(path, row, "seed"),)
+                cells, runs = scenarios.setdefault(key, ({c: row[c] for c in _SCENARIO_KEY}, []))
                 if run in sources:
-                    scenario = ", ".join(f"{k}={row[k]}" for k in _SCENARIO_KEY)
+                    scenario = ", ".join(f"{k}={v}" for k, v in cells.items())
                     raise ConfigError(
                         f"seed {row['seed']} of scenario {scenario} appears in both "
                         f"{sources[run]} and {path}; each run must be counted once"
                     )
                 sources[run] = path
-                rows.append(row)
-    if not rows:
+                runs.append(values)
+    if not scenarios:
         raise ConfigError(f"no summary rows found under {input_dir}")
-    return rows
+    return scenarios
 
 
 def _incomplete_beta(x: float, a: float, b: float) -> float:
@@ -456,53 +461,28 @@ def _mean_ci_quantiles(values: Sequence[float]) -> tuple[float, float, float, fl
 
 
 def _cmd_report(args: argparse.Namespace) -> int:
-    rows = _read_summary_rows(args.input_dir)
-    groups: dict[tuple, list[dict]] = {}
-    for row in rows:
-        key = tuple(row[k] for k in _SCENARIO_KEY)
-        groups.setdefault(key, []).append(row)
-
+    scenarios = _read_scenarios(args.input_dir)
     out_rows = []
-    for key in sorted(groups, key=lambda k: tuple(float(x) for x in k)):
-        members = groups[key]
-        conv = [float(r["convergence_time_min"]) for r in members if r["convergence_time_min"]]
-        undisc = [float(r["undiscovered_fraction"]) for r in members if r["undiscovered_fraction"]]
-        overhead = [float(r["mean_overhead_bps"]) for r in members if r["mean_overhead_bps"]]
-        record = dict(zip(_SCENARIO_KEY, key))
-        record["runs"] = len(members)
-        record["converged"] = len(conv)
+    for key in sorted(scenarios):
+        cells, runs = scenarios[key]
+        conv, undisc, overhead = ([v for v in column if v is not None] for column in zip(*runs))
+        record = {**cells, "runs": len(runs), "converged": len(conv)}
         if conv:
-            mean, lo, hi, q25, q75, degenerate = _mean_ci_quantiles(conv)
-            record.update(
-                convergence_time_min_mean=f"{mean:.6g}",
-                convergence_time_min_ci95_low=f"{lo:.6g}",
-                convergence_time_min_ci95_high=f"{hi:.6g}",
-                convergence_time_min_q25=f"{q25:.6g}",
-                convergence_time_min_q75=f"{q75:.6g}",
-                ci_degenerate=str(degenerate).lower(),
-            )
-        else:
-            record.update(
-                convergence_time_min_mean="",
-                convergence_time_min_ci95_low="",
-                convergence_time_min_ci95_high="",
-                convergence_time_min_q25="",
-                convergence_time_min_q75="",
-                ci_degenerate="",
-            )
-        record["undiscovered_fraction_mean"] = f"{statistics.fmean(undisc):.6g}" if undisc else ""
-        record["mean_overhead_bps"] = f"{statistics.fmean(overhead):.6g}" if overhead else ""
-        out_rows.append({k: str(record[k]) for k in REPORT_CSV_COLUMNS})
+            *stats, degenerate = _mean_ci_quantiles(conv)
+            for name, value in zip(("mean", "ci95_low", "ci95_high", "q25", "q75"), stats):
+                record[f"convergence_time_min_{name}"] = f"{value:.6g}"
+            record["ci_degenerate"] = str(degenerate).lower()
+        if undisc:
+            record["undiscovered_fraction_mean"] = f"{statistics.fmean(undisc):.6g}"
+        if overhead:
+            record["mean_overhead_bps"] = f"{statistics.fmean(overhead):.6g}"
+        out_rows.append(record)
 
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=REPORT_CSV_COLUMNS, lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=REPORT_CSV_COLUMNS, restval="", lineterminator="\n")
     writer.writeheader()
     writer.writerows(out_rows)
-    if args.output == "-":
-        sys.stdout.write(buf.getvalue())
-    else:
-        atomic_write_text(args.output, buf.getvalue())
-        print(args.output)
+    _write_output(args.output, buf.getvalue())
     return EXIT_OK
 
 

@@ -1,5 +1,5 @@
 """Domain model for the covert overlay: agents, steganographic carrier
-methods, and the kinds and wire sizes of protocol messages.
+methods, and the wire sizes of protocol messages.
 
 Two agent kinds exist on the platform.  Ordinary agents only relay
 anonymous traffic; steg-capable agents additionally hold a non-empty set
@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from enum import Enum
 from typing import Iterable, Sequence
 
 AgentId = int
@@ -82,17 +81,6 @@ def derive_capabilities(
         caps = frozenset(p.id for p in profiles if rng.random() < p.occurrence)
         if caps:
             return caps
-
-
-class MessageKind(Enum):
-    """Traffic classes of the accounting totals.  The simulator sends no
-    DATA message, so its total stays zero; it is kept because the report
-    lists a total for every kind."""
-
-    DISCOVERY = "discovery"
-    HELLO = "hello"
-    ROUTING_UPDATE = "routing_update"
-    DATA = "data"
 
 
 @dataclass(frozen=True, slots=True)

@@ -29,7 +29,6 @@ from typing import Callable, Collection, Iterable, Mapping, Optional, Sequence
 from .core import (
     AgentId,
     DEFAULT_METHODS,
-    MessageKind,
     MessageSizes,
     StegMethodId,
     StegMethodProfile,
@@ -277,7 +276,9 @@ class Platform:
         self._links: dict[float, dict[tuple[AgentId, AgentId], int]] = {
             float(p.bandwidth_bps): {} for p in self.profiles.values()
         }
-        self._totals = {kind.value: [0, 0] for kind in MessageKind}
+        # Messages and bytes per kind.  "data" is never sent, but its zero
+        # total stays in the pinned report bytes until ROADMAP item 13.
+        self._totals = {kind: [0, 0] for kind in ("discovery", "hello", "routing_update", "data")}
 
         self._rng_population = random.Random(f"{config.seed}:population")
         self._rng_walks = random.Random(f"{config.seed}:walks")

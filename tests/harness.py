@@ -12,6 +12,7 @@ import random
 import re
 import subprocess
 import sys
+import types
 from collections import Counter
 
 import numpy as np
@@ -145,6 +146,19 @@ class ReferencePlatform(Platform):
         self.kernel.schedule(now + self.config.timers.hello_interval, _Ev.HELLO, agent_id)
 
 
+class FullTablePlatform(Platform):
+    """The platform with every router applying `reference_process_update`,
+    the full-table rule, to every table delivered to it: the specification
+    that `Platform`, whose routers process updates incrementally, must
+    match at every step of the simulator's event order."""
+
+    def _add_agent(self, agent_id, caps):
+        super()._add_agent(agent_id, caps)
+        if caps:
+            router = self.routers[agent_id]
+            router.process_update = types.MethodType(reference_process_update, router)
+
+
 class QuietPlatform(Platform):
     """The platform with its steg-link graph frozen from `quiet_at` on: no
     discovery walk starts or is delivered and no agent migrates, so only
@@ -241,6 +255,15 @@ def random_population(seed, max_agents=50, profiles=DEFAULT_METHODS):
     rng = random.Random(seed)
     n = rng.randint(2, max_agents)
     return {agent_id: derive_capabilities(rng, profiles) for agent_id in range(n)}
+
+
+# Sixteen carriers of occurrence 0.12, none dominant: the steg-link graph
+# is sparse, so routes run over several hops and low hop limits bind.
+SPARSE_METHODS = tuple(
+    StegMethodProfile(f"m{i}", f"sparse {i}", (80.0, 100.0, 225_000.0, 300_000.0)[i % 4],
+                      (0.0, 0.25, 0.5)[i % 3], 0.12, i + 1)
+    for i in range(16)
+)
 
 
 # Exactly representable delays, so path-delay sums carry no rounding and

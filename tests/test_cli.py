@@ -193,6 +193,14 @@ class TestSimulate:
                        "--set", "duration=60", "--seeds", "1") == 0
         assert (tmp_path / "env-out" / "run-seed1.jsonl").exists()
 
+    def test_default_output_dir_is_runs(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("STEGROUTER_OUTPUT_DIR", raising=False)
+        monkeypatch.chdir(tmp_path)
+        assert run_cli("simulate", "--set", "n_agents=30",
+                       "--set", "duration=60", "--seeds", "1") == 0
+        assert (tmp_path / "runs" / "run-seed1.jsonl").exists()
+        assert (tmp_path / "runs" / "run-summary.csv").exists()
+
     def test_parallel_workers_match_serial(self, tmp_path):
         serial, parallel = tmp_path / "serial", tmp_path / "parallel"
         assert run_cli(*self.small_args(serial, "--seeds", "1,2")) == 0
@@ -373,6 +381,40 @@ class TestReport:
         assert "seed 2" in message
         assert "n_agents=30, sa_fraction=0.1, p_f=0.75, migration_rate=0.0" in message
         assert "a-summary.csv" in message and "b-summary.csv" in message
+
+    # One scenario spelled two ways: the cells are read as numbers, so its
+    # runs are grouped, and a seed is matched, by value.
+    SPELLINGS = ((250, "0.1", 0.75, "0.0"), (250, "0.10", 0.75, "0"))
+
+    def test_scenarios_are_matched_by_value(self, tmp_path, capsys):
+        first, second = self.SPELLINGS
+        self.write_summary(tmp_path, first, [(1, 5.0)], name="a-summary.csv")
+        self.write_summary(tmp_path, second, [(2, 7.0)], name="b-summary.csv")
+        assert run_cli("report", str(tmp_path)) == 0
+        rows = list(csv.DictReader(capsys.readouterr().out.splitlines()))
+        assert len(rows) == 1
+        row = rows[0]
+        # printed with the cells of the first file read
+        assert (row["sa_fraction"], row["migration_rate"]) == ("0.1", "0.0")
+        assert row["runs"] == "2" and row["converged"] == "2"
+        assert row["convergence_time_min_mean"] == "6"
+
+    def test_duplicate_run_in_two_spellings_is_rejected(self, tmp_path, capsys):
+        first, second = self.SPELLINGS
+        self.write_summary(tmp_path, first, [(1, 5.0)], name="a-summary.csv")
+        self.write_summary(tmp_path, second, [(1, 5.0)], name="b-summary.csv")
+        assert run_cli("report", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "seed 1 of scenario" in captured.err
+        assert "a-summary.csv" in captured.err and "b-summary.csv" in captured.err
+
+    def test_unreadable_seed_is_rejected(self, tmp_path, capsys):
+        self.write_summary(tmp_path, (250, 0.1, 0.75, 0.0), [("abc", 5.0)])
+        assert run_cli("report", str(tmp_path)) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "n250-summary.csv: seed abc: column seed holds 'abc'" in captured.err
 
     # Two summary CSVs holding three scenarios: one with four converged runs
     # and one unconverged run, one with a single converged run (degenerate

@@ -36,21 +36,14 @@ import math
 
 import pytest
 
-from stegrouter.core import StegMethodProfile
 from stegrouter.router import SELF_KEY, reference_tables
 from stegrouter.sim import SimConfig
 
-from harness import QuietPlatform
+from harness import SPARSE_METHODS, QuietPlatform
 
 QUIET_AT = 1800.0
 END = 2100.0
 SPARSE_END = 2400.0
-
-SPARSE_METHODS = tuple(
-    StegMethodProfile(f"m{i}", f"sparse {i}", (80.0, 100.0, 225_000.0, 300_000.0)[i % 4],
-                      (0.0, 0.25, 0.5)[i % 3], 0.12, i + 1)
-    for i in range(16)
-)
 
 
 def extend(link_key, key):

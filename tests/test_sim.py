@@ -355,6 +355,25 @@ class TestMigration:
         assert [fast for fast, _, _ in counted] == [alive for _, alive, _ in counted]
         assert any(alive < held for _, alive, held in counted)
 
+    def test_departed_mask_is_kept_at_exactly_the_hold_time(self):
+        # b departs at t=100 right after its final beacon, so a's entry of b
+        # is Up through t=100 + hold_time inclusive: a sample at exactly that
+        # time must keep b's mask, because a's hello to b at the same time
+        # puts bits on their link for the next window to measure
+        platform = Platform(SimConfig(n_agents=20, methods=TEXT_ONLY, seed=1))
+        a, b = sorted(platform.routers)
+        assert platform.form_link(a, b, 0.0)
+        hold_time = platform.config.timers.hold_time
+        platform.kernel.now = 100.0
+        platform._on_hello(b, 100.0)
+        platform.remove_agent(b)
+        platform._on_sample(100.0 + hold_time)
+        assert b in platform._mask
+        platform._on_hello(a, 100.0 + hold_time)
+        assert (a, b) in platform._win_link_bits
+        platform._on_sample(105.0 + hold_time)
+        assert b not in platform._mask
+
     @pytest.mark.parametrize("rate", [1 / 60, 0.1, 1.0])
     def test_masks_of_departed_agents_are_dropped(self, monkeypatch, rate):
         # a departed steg agent's links carry bits until its peers' entries
@@ -561,6 +580,24 @@ class TestMeters:
         assert payload == 2416
         platform._send("routing_update", a, b, payload)
         f = platform._measure(30.0)
+        assert f.saturated_link_fraction == 1.0
+
+    def test_link_at_exactly_capacity_is_saturated(self):
+        # one 200 bit/s link formed at 0 and two beacons from each end in
+        # (0, 10]: the hello bound is 2 * 2 * 256 = 1,024 bits, and a
+        # 122-byte discovery message puts 976 more on the link, so bits
+        # plus bound reach the 2,000-bit capacity exactly and the link,
+        # with its 1,024 hello bits, carries exactly its capacity
+        methods = (StegMethodProfile("m", "M", 200, 0.0, 1.0, 1),)
+        platform = Platform(SimConfig(n_agents=20, methods=methods, seed=1))
+        a, b = sorted(platform.routers)
+        assert platform.form_link(a, b, 0.0)
+        for now in (4.0, 8.0):
+            platform._on_hello(a, now)
+            platform._on_hello(b, now)
+        platform._send("discovery", a, b, 122)
+        f = platform._measure(10.0)
+        assert f.capacity_usage == 1.0
         assert f.saturated_link_fraction == 1.0
 
     def test_walk_traffic_counts_toward_overhead_not_links(self):

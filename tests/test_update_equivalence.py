@@ -22,6 +22,13 @@ can leave the receiver's mark before the sender's trimmed log), time
 passing with hellos that skip silenced links, silent neighbor loss
 followed by expiry checks, and (re-)discovery of a pair after its link
 expired.
+
+`test_platform_matches_full_table_rule` checks the same rule in the
+simulator's own event order: `harness.FullTablePlatform` runs random
+small configs (sparse catalogues, hop limits 1-4, churn up to one
+migration per second) with every router applying the full-table rule,
+and must write the same report lines and hold the same routes at every
+sample as `Platform`.
 """
 
 from collections import Counter
@@ -30,8 +37,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, method_table
+from stegrouter.sim import Platform, SimConfig, run_report_lines
 
-from harness import build_routers, dyadic_delay_methods, form_all_links, reference_process_update
+from harness import (
+    SPARSE_METHODS,
+    FullTablePlatform,
+    build_routers,
+    dyadic_delay_methods,
+    form_all_links,
+    reference_process_update,
+)
 
 # Equal bandwidths and delays, so many candidate keys tie and the
 # lower-next-hop rule decides.
@@ -293,3 +308,45 @@ def test_a_vouched_sender_is_up_in_both_rules():
         results.append((process(receiver, batch, now), network.state()))
     assert results[0] == results[1]
     assert results[0][0] is True
+
+
+def report_and_tables(platform_cls, cfg):
+    """Run `cfg` on `platform_cls`: its report lines, and every router's
+    routes at each sample."""
+    platform = platform_cls(cfg)
+    tables = []
+    on_sample = platform._on_sample
+
+    def sample(now):
+        on_sample(now)
+        tables.append({agent: dict(router.routes) for agent, router in platform.routers.items()})
+
+    platform._on_sample = sample
+    platform.run_until(cfg.duration)
+    return list(run_report_lines(platform.report())), tables
+
+
+@st.composite
+def platform_configs(draw):
+    return SimConfig(
+        duration=draw(st.sampled_from((300.0, 600.0, 900.0))),
+        n_agents=draw(st.integers(20, 120)),
+        sa_fraction=draw(st.sampled_from((0.1, 0.2, 0.35))),
+        migration_rate=draw(st.sampled_from((0.0, 1 / 60, 0.1, 1.0))),
+        hop_limit=draw(st.integers(1, 4)),
+        seed=draw(st.integers(0, 2**16)),
+        methods=draw(st.sampled_from((SPARSE_METHODS, SPARSE_METHODS[:8], DEFAULT_METHODS))),
+    )
+
+
+@example(SimConfig(n_agents=120, duration=900.0, sa_fraction=0.35, methods=SPARSE_METHODS,
+                   hop_limit=3, migration_rate=1 / 60, seed=3))
+@example(SimConfig(n_agents=120, duration=600.0, migration_rate=1.0, hop_limit=2, seed=1))
+@settings(max_examples=60, deadline=None)
+@given(platform_configs())
+def test_platform_matches_full_table_rule(cfg):
+    lines, tables = report_and_tables(Platform, cfg)
+    full_lines, full_tables = report_and_tables(FullTablePlatform, cfg)
+    assert len(tables) == int(cfg.duration / cfg.sampling_interval)
+    assert tables == full_tables
+    assert lines == full_lines
