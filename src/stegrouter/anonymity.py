@@ -17,6 +17,9 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import queue
+import threading
 from dataclasses import dataclass
 from enum import Enum
 from typing import IO, Iterable, Optional, Sequence
@@ -256,6 +259,60 @@ def _bootstrap_entropies(
 # and mask temporaries of a hop have a fixed size whatever the trial count.
 _CHUNK = 1 << 16
 
+# Chunks the caller may draw ahead of the compaction thread.
+_QUEUE_CHUNKS = 4
+
+
+def _compact(counts, holders, observed, values, moves, out, at):
+    """One chunk's compaction: the walks where `moves` is False end, and if
+    `observed` their holders are counted as observed predecessors; where
+    `moves` is True (everywhere if it is None) the walk's value is packed
+    into `out[at:]`, in order."""
+    # `compress` selects the same elements as boolean indexing, in the same
+    # order, at about a third of its cost on random masks.
+    if observed:
+        counts += np.bincount(holders.compress(~moves), minlength=counts.size)
+    moved = values if moves is None else values.compress(moves)
+    out[at:at + moved.size] = moved
+
+
+def _cpus() -> int:
+    """CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+class _CompactionThread:
+    """Runs `_compact` calls on one helper thread, in the order they are
+    made, from a queue of at most `_QUEUE_CHUNKS` calls.  An error in the
+    thread is raised by `close`; the thread drains the queue either way,
+    so the caller never blocks on it."""
+
+    def __init__(self) -> None:
+        self._queue: queue.Queue = queue.Queue(_QUEUE_CHUNKS)
+        self._error: Optional[BaseException] = None
+        self._thread = threading.Thread(target=self._run, daemon=True)
+        self._thread.start()
+
+    def __call__(self, *args) -> None:
+        self._queue.put(args)
+
+    def _run(self) -> None:
+        while (args := self._queue.get()) is not None:
+            if self._error is None:
+                try:
+                    _compact(*args)
+                except BaseException as error:
+                    self._error = error
+
+    def close(self) -> None:
+        """Wait for every queued call, end the thread and raise its error."""
+        self._queue.put(None)
+        self._thread.join()
+        if self._error is not None:
+            raise self._error
+
 
 def _simulate_walks(
     n: int,
@@ -282,8 +339,22 @@ def _simulate_walks(
     the index arrays that split them took 30-34.  Each hop is drawn and
     split `_CHUNK` trials at a time, which adds a fixed 1-3 MB.  Chunked
     `integers` and `random` draws give the same numbers as one call of
-    the whole size, so the random stream and every result for a fixed
-    seed are unchanged.
+    the whole size.
+
+    The calling thread makes every draw, in the one-shot order: a hop's
+    receivers chunk by chunk, then its coins.  It casts each receiver
+    chunk to the state type, computes the chunk's masks and counts them,
+    and those counts alone size the next draws.  Each chunk's compaction
+    (`_compact`: the observed predecessors' `bincount` and the packing of
+    walks into the state buffers) runs on one helper thread in the order
+    the chunks were drawn, while the caller draws ahead.  The queue holds
+    at most `_QUEUE_CHUNKS` chunks, each a state-type receiver or state
+    view plus a boolean mask: under 1 MB at N <= 65536.  Hops of at most
+    one chunk, and every hop of a process allowed on one CPU, run
+    `_compact` inline; the helper is drained and joined before the first
+    such hop.  Only the caller touches the generator, and counts are sums
+    of integers, so the random stream and every result for a fixed seed
+    are the same as drawing and compacting on one thread.
     """
     honest = n - c
     counts = np.zeros(honest, dtype=np.int64)
@@ -296,38 +367,44 @@ def _simulate_walks(
     # within a hop, `kept[:received]` holds the receivers that are honest.
     pred = np.zeros(trials, dtype=state)
     kept = np.empty(trials, dtype=state)
-    # `compress` selects the same elements as boolean indexing, in the same
-    # order, at about a third of its cost on random masks.
+    helper = _CompactionThread() if trials > _CHUNK and _cpus() > 1 else None
+    compact = helper or _compact
     live = trials
-    while live:
-        # Each live walk hands the message on; a colluder receiving it
-        # observes the holder, and that walk ends.
-        received = 0
-        for start in range(0, live, _CHUNK):
-            receiver = rng.integers(0, n, size=min(_CHUNK, live - start))
+    try:
+        while live:
+            if helper and live <= _CHUNK:
+                helper.close()
+                helper, compact = None, _compact
+            # Each live walk hands the message on; a colluder receiving it
+            # observes the holder, and that walk ends.
+            received = 0
+            for start in range(0, live, _CHUNK):
+                receiver = rng.integers(0, n, size=min(_CHUNK, live - start)).astype(state)
+                honest_receiver = receiver < honest if c else None
+                kept_here = receiver.size if c == 0 else int(np.count_nonzero(honest_receiver))
+                observed = kept_here < receiver.size
+                # With every receiver honest, the whole chunk is kept as is.
+                compact(
+                    counts, pred[start:start + receiver.size], observed, receiver,
+                    honest_receiver if observed else None, kept, received,
+                )
+                received += kept_here
+            # Each honest receiver forwards on a coin.  A walk that stops
+            # ends unobserved, or, with C = 0, observed by its recipient (no
+            # receiver was removed, so `kept[i]` is still the receiver of
+            # `pred[i]`).  Survivors are packed into `pred` behind the chunk
+            # being read.
+            live = 0
+            for start in range(0, received, _CHUNK):
+                stop = min(start + _CHUNK, received)
+                forward = rng.random(stop - start) < p_f
+                compact(counts, pred[start:stop], not c, kept[start:stop], forward, pred, live)
+                live += int(np.count_nonzero(forward))
             if c:
-                hit = receiver >= honest
-                if hit.any():
-                    observed = pred[start:start + hit.size].compress(hit)
-                    counts += np.bincount(observed, minlength=honest)
-                    receiver = receiver.compress(~hit)
-            kept[received:received + receiver.size] = receiver
-            received += receiver.size
-        # Each honest receiver forwards on a coin.  A walk that stops ends
-        # unobserved, or, with C = 0, observed by its recipient (no receiver
-        # was removed, so `kept[i]` is still the receiver of `pred[i]`).
-        # Survivors are packed into `pred` behind the chunk being read.
-        live = 0
-        for start in range(0, received, _CHUNK):
-            stop = min(start + _CHUNK, received)
-            forward = rng.random(stop - start) < p_f
-            if not c:
-                counts += np.bincount(pred[start:stop].compress(~forward), minlength=honest)
-            moved = kept[start:stop].compress(forward)
-            pred[live:live + moved.size] = moved
-            live += moved.size
-        if c:
-            misses += received - live
+                misses += received - live
+    finally:
+        if helper:
+            helper.close()
     return counts, misses
 
 
@@ -454,7 +531,7 @@ def evaluate_scenarios(
 
 
 def write_entropy_csv(rows: Sequence[dict], stream: IO[str]) -> None:
-    writer = csv.DictWriter(stream, fieldnames=ENTROPY_CSV_COLUMNS)
+    writer = csv.DictWriter(stream, fieldnames=ENTROPY_CSV_COLUMNS, lineterminator="\n")
     writer.writeheader()
     for row in rows:
         writer.writerow(row)

@@ -8,6 +8,9 @@ import hashlib
 import io
 import json
 import math
+import sys
+import threading
+import time
 import tracemalloc
 from fractions import Fraction
 
@@ -17,6 +20,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from harness import reference_simulate_walks
+from stegrouter import anonymity
 from stegrouter.anonymity import (
     _BLOCK_ELEMENTS,
     _CHUNK,
@@ -300,6 +304,20 @@ class TestMonteCarlo:
         assert contained >= 24, f"closed form covered in only {contained}/30 CIs"
 
 
+def assert_walks_match_reference(n, c, p_f, trials, recipient_observes):
+    seed = [n, c, trials, recipient_observes]
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    counts, misses = _simulate_walks(n, c, p_f, trials, rng, recipient_observes)
+    ref_counts, ref_misses = reference_simulate_walks(
+        n, c, p_f, trials, ref_rng, recipient_observes)
+    case = (n, c, p_f, trials, recipient_observes)
+    assert misses == ref_misses, case
+    assert np.array_equal(counts, ref_counts), case
+    assert counts.sum() + misses == trials, case
+    # the stream is left where the one-shot loop leaves it
+    assert rng.random() == ref_rng.random(), case
+
+
 class TestChunkedDraws:
     """The oracle draws each hop and the bootstrap in pieces; the pieces
     must reproduce the one-shot draws exactly, so results stay put."""
@@ -310,17 +328,35 @@ class TestChunkedDraws:
         # n spans the uint8/uint16/uint32 boundaries of the walk state
         for c in sorted({0, 1, n - 1}):
             for recipient_observes in (False, True):
-                seed = [n, c, trials, recipient_observes]
-                rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-                counts, misses = _simulate_walks(n, c, 0.75, trials, rng, recipient_observes)
-                ref_counts, ref_misses = reference_simulate_walks(
-                    n, c, 0.75, trials, ref_rng, recipient_observes)
-                case = (n, c, trials, recipient_observes)
-                assert misses == ref_misses, case
-                assert np.array_equal(counts, ref_counts), case
-                assert counts.sum() + misses == trials, case
-                # the stream is left where the one-shot loop leaves it
-                assert rng.random() == ref_rng.random(), case
+                assert_walks_match_reference(n, c, 0.75, trials, recipient_observes)
+
+    @pytest.mark.parametrize("helper", ["on", "off", "slow"])
+    @pytest.mark.parametrize("n", [5, 50, 10_000])
+    def test_pipelined_walks_match_one_shot_reference(self, monkeypatch, n, helper):
+        # 10^6 trials: several hops of two or more chunks are compacted on
+        # the helper thread, then the walk switches to inline hops.  "off"
+        # is a process allowed on one CPU; "slow" lets the caller run ahead.
+        caller = threading.current_thread()
+        compact = anonymity._compact
+        inline = []
+
+        def spy(*args):
+            on_caller = threading.current_thread() is caller
+            inline.append(on_caller)
+            if helper == "slow" and not on_caller:
+                time.sleep(0.001)
+            compact(*args)
+
+        monkeypatch.setattr(anonymity, "_compact", spy)
+        if helper == "off":
+            monkeypatch.setattr(anonymity.os, "sched_getaffinity", lambda pid: {0})
+        for c in sorted({0, 1, n // 2}):
+            for recipient_observes in (False, True):
+                inline.clear()
+                assert_walks_match_reference(n, c, 0.8, 1_000_000, recipient_observes)
+                if c or recipient_observes:
+                    assert all(inline) if helper == "off" else not all(inline)
+                    assert inline[-1]
 
     @pytest.mark.parametrize("width", [1, 7, 9_001, 70_000])
     def test_bootstrap_blocks_match_one_call(self, width):
@@ -337,6 +373,95 @@ class TestChunkedDraws:
         assert len(blocks) == -(-200 // max(1, _BLOCK_ELEMENTS // width))
         assert np.array_equal(np.concatenate(blocks), one_call)
         assert np.array_equal(entropies, _entropy_rows(one_call / 10_000))
+
+
+class TestCompactionThread:
+    """The helper thread never outlives the walk loop, and its errors
+    surface in the caller instead of hanging it."""
+
+    def test_no_thread_outlives_the_call(self):
+        before = threading.active_count()
+        monte_carlo_entropy(scenario(50, 2, 0.8), 1_000_000, seed=1)
+        assert threading.active_count() == before
+
+    def test_concurrent_calls_match_serial(self):
+        # three callers, each with its own helper, on a 1 µs switch interval:
+        # a compaction that ran out of order or on another call's state
+        # would move the counts
+        points = [(scenario(50, 2, 0.8), seed) for seed in range(3)]
+        serial = [monte_carlo_entropy(s, 300_000, seed=seed) for s, seed in points]
+        results = [None] * len(points)
+
+        def call(i):
+            s, seed = points[i]
+            results[i] = monte_carlo_entropy(s, 300_000, seed=seed)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            callers = [threading.Thread(target=call, args=(i,), daemon=True)
+                       for i in range(len(points))]
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert results == serial
+
+    @pytest.mark.parametrize("queue_full", [False, True], ids=["at-once", "queue-full"])
+    def test_helper_error_raises_in_the_caller(self, monkeypatch, queue_full):
+        helpers, seen_full, outcome = [], [], []
+        compact = anonymity._compact
+
+        class Recorded(anonymity._CompactionThread):
+            def __init__(self):
+                helpers.append(self)
+                super().__init__()
+
+        def faulty(*args):
+            if threading.current_thread() is caller:
+                return compact(*args)
+            deadline = time.monotonic() + 10
+            while queue_full and not helpers[0]._queue.full() and time.monotonic() < deadline:
+                time.sleep(0.001)
+            seen_full.append(helpers[0]._queue.full())
+            raise RuntimeError("injected")
+
+        def call():
+            try:
+                monte_carlo_entropy(scenario(50, 2, 0.8), 1_000_000, seed=1)
+            except RuntimeError as error:
+                outcome.append(str(error))
+
+        monkeypatch.setattr(anonymity, "_CompactionThread", Recorded)
+        monkeypatch.setattr(anonymity, "_compact", faulty)
+        before = threading.active_count()
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=60)
+        assert not caller.is_alive(), "the walk loop deadlocked"
+        assert outcome == ["injected"]
+        if queue_full:
+            assert seen_full == [True]
+        assert threading.active_count() == before
+
+    def test_caller_error_joins_the_helper(self):
+        class FailingDraws:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(1), 0
+
+            def integers(self, *args, **kwargs):
+                self.calls += 1
+                if self.calls == 3:
+                    raise RuntimeError("draw failed")
+                return self.rng.integers(*args, **kwargs)
+
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="draw failed"):
+            _simulate_walks(50, 2, 0.8, 1_000_000, FailingDraws(), False)
+        assert threading.active_count() == before
 
 
 # SHA-256 of the JSON row [entropy, max, ci_low, ci_high, trials,

@@ -277,6 +277,18 @@ class TestEntropy:
         assert rows[0]["mc_trials"] == "5000"
         assert rows[0]["mc_entropy_bits"] != ""
 
+    def test_rows_end_in_newline_only(self, tmp_path, capsys):
+        # like `report` and `simulate`: no \r before the \n, on stdout or in a file
+        args = ("entropy", "--n", "10", "--colluders", "0..2", "--pf", "0.75")
+        assert run_cli(*args) == 0
+        printed = capsys.readouterr().out
+        out = tmp_path / "entropy.csv"
+        assert run_cli(*args, "--output", str(out)) == 0
+        written = out.read_bytes()
+        assert printed.count("\n") == 1 + 3 * 2
+        assert "\r" not in printed
+        assert written == printed.encode()
+
     @pytest.mark.parametrize("trials", ["0", "-5", "many"])
     def test_non_positive_oracle_is_a_usage_error(self, capsys, trials):
         # 0 would silently skip the oracle and -5 fail at run time
