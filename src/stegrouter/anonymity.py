@@ -347,14 +347,16 @@ def _simulate_walks(
     and those counts alone size the next draws.  Each chunk's compaction
     (`_compact`: the observed predecessors' `bincount` and the packing of
     walks into the state buffers) runs on one helper thread in the order
-    the chunks were drawn, while the caller draws ahead.  The queue holds
+    the chunks were drawn, while the caller draws ahead.  The helper
+    starts when the first hop has two or more chunks, serves every hop to
+    the last and is joined before the function returns.  The queue holds
     at most `_QUEUE_CHUNKS` chunks, each a state-type receiver or state
-    view plus a boolean mask: under 1 MB at N <= 65536.  Hops of at most
-    one chunk, and every hop of a process allowed on one CPU, run
-    `_compact` inline; the helper is drained and joined before the first
-    such hop.  Only the caller touches the generator, and counts are sums
-    of integers, so the random stream and every result for a fixed seed
-    are the same as drawing and compacting on one thread.
+    view plus a boolean mask: under 1 MB at N <= 65536.  Calls of at most
+    `_CHUNK` trials, and every call in a process allowed on one CPU, run
+    `_compact` inline: on one CPU the two threads only take turns.  Only
+    the caller touches the generator, and counts are sums of integers, so
+    the random stream and every result for a fixed seed are the same as
+    drawing and compacting on one thread.
     """
     honest = n - c
     counts = np.zeros(honest, dtype=np.int64)
@@ -372,9 +374,6 @@ def _simulate_walks(
     live = trials
     try:
         while live:
-            if helper and live <= _CHUNK:
-                helper.close()
-                helper, compact = None, _compact
             # Each live walk hands the message on; a colluder receiving it
             # observes the holder, and that walk ends.
             received = 0
