@@ -571,8 +571,8 @@ def reference_tables(
     links: Optional[Collection[frozenset[AgentId]]] = None,
 ) -> dict[AgentId, dict[AgentId, tuple[float, float, int, int]]]:
     """The routes the protocol converges to on a static topology,
-    computed by a generalized Dijkstra per destination instead of by the
-    distributed protocol.
+    computed by a generalized Dijkstra per class of interchangeable
+    agents instead of by the distributed protocol.
 
     For every ordered pair this returns (bottleneck_bps, delay_s,
     worst_rank, hops) under the same lexicographic order and hop limit
@@ -588,47 +588,79 @@ def reference_tables(
 
     The links are every pair of agents sharing a method, or, given
     `links` (unordered pairs as frozensets), only those of its pairs.
+
+    Two agents are twins when they hold equal method sets and equal
+    closed neighbourhoods (each agent and the peers it links to, under
+    the rule above), so twins are linked to each other.  Swapping two
+    twins maps every link and every link key onto itself, and the
+    locally optimal routes are unique, so twins hold the same key to
+    every destination but themselves.  So one search serves every
+    destination of a class of twins: the destination is the source, the
+    rest of its class is one node reached over the class's own link, and
+    every other class is one node.  Each link key is computed once per
+    pair of classes, and each (class, destination class) pair shares one
+    key tuple.  An agent with no method, or with links that no other
+    agent matches, is a class of its own; with sparse `links` most
+    classes hold one agent.  The tables, and each row, iterate in
+    ascending agent order.
     """
     ids = sorted(capabilities)
-    # agent -> (neighbor, -bandwidth, delay, rank) of the link's best method
-    adjacent: dict[AgentId, list[tuple[AgentId, float, float, int]]] = {u: [] for u in ids}
+    # Each agent's closed neighbourhood: itself and the peers it links to.
+    closed: dict[AgentId, list[AgentId]] = {u: [u] for u in ids}
     for i, u in enumerate(ids):
         for v in ids[i + 1 :]:
-            shared = capabilities[u] & capabilities[v]
-            if not shared or (links is not None and frozenset((u, v)) not in links):
-                continue
-            one_hop = one_hop_key(profiles[best_method_on_link(shared, profiles)])
-            adjacent[u].append((v, *one_hop))
-            adjacent[v].append((u, *one_hop))
+            if capabilities[u] & capabilities[v] and (links is None or frozenset((u, v)) in links):
+                closed[u].append(v)
+                closed[v].append(u)
+    twins: dict[tuple, list[AgentId]] = {}
+    for u in ids:
+        twins.setdefault((capabilities[u], frozenset(closed[u])), []).append(u)
+    classes = list(twins.values())
+    # class -> (class, -bandwidth, delay, rank) of the link's best method;
+    # a class of twins also links to itself, from a destination to its twins.
+    adjacent: list[list[tuple[int, float, float, int]]] = [[] for _ in classes]
+    for c, (u, *_) in enumerate(classes):
+        for d in range(c, len(classes)):
+            v = classes[d][-1]
+            if u != v and v in closed[u]:
+                shared = capabilities[u] & capabilities[v]
+                one_hop = one_hop_key(profiles[best_method_on_link(shared, profiles)])
+                adjacent[c].append((d, *one_hop))
+                if d != c:
+                    adjacent[d].append((c, *one_hop))
 
-    tables: dict[AgentId, dict[AgentId, tuple]] = {u: {} for u in ids}
-    for dest in ids:
+    # One search per destination class c.  Node -1 is the destination,
+    # node c the rest of its class.  Twins hold equal keys, so each class
+    # keeps one key to the destination class, shared by its members.
+    keys: list[dict[int, tuple]] = []
+    for c in range(len(classes)):
         # Key order mirrors the metric: (-bottleneck, delay, rank, hops).
-        best: dict[AgentId, tuple] = {dest: (-math.inf, 0.0, 0, 0)}
-        settled: set[AgentId] = set()
-        heap = [(best[dest], dest)]
+        best: dict[int, tuple] = {-1: SELF_KEY}
+        settled: set[int] = set()
+        heap = [(SELF_KEY, -1)]
         while heap:
             key, u = heappop(heap)
             if u in settled:
                 continue
             settled.add(u)
             neg_bw, delay, rank, hops = key
-            if u != dest:
-                tables[u][dest] = (-neg_bw, delay, rank, hops)
             if hops >= hop_limit:
                 continue
             hops += 1
-            for v, link_neg_bw, link_delay, link_rank in adjacent[u]:
-                if v in settled:
-                    continue
-                cand = (
-                    link_neg_bw if link_neg_bw > neg_bw else neg_bw,
-                    delay + link_delay,
-                    link_rank if link_rank > rank else rank,
-                    hops,
-                )
+            # Every extension is worse than `key`, so no settled node improves.
+            for v, link_neg_bw, link_delay, link_rank in adjacent[c if u < 0 else u]:
+                cand = (max(neg_bw, link_neg_bw), delay + link_delay, max(rank, link_rank), hops)
                 known = best.get(v)
                 if known is None or cand < known:
                     best[v] = cand
                     heappush(heap, (cand, v))
+        keys.append({d: (-key[0], *key[1:]) for d, key in best.items() if d >= 0})
+
+    of = {u: c for c, group in enumerate(classes) for u in group}
+    tables: dict[AgentId, dict[AgentId, tuple]] = {u: {} for u in ids}
+    for dest in ids:
+        for c, key in keys[of[dest]].items():
+            for u in classes[c]:
+                if u != dest:
+                    tables[u][dest] = key
     return tables

@@ -3,10 +3,12 @@
 Every capability link is formed up front and the clock is pinned at zero,
 so no neighbor ever expires; tables then evolve purely through periodic
 update exchange until a fixpoint, which is what the reference oracle
-models.  The one-shot walk loop at the end is the reference for the
-anonymity oracle's chunked one.
+models.  The per-agent search is the reference for the oracle's search
+per class of twins, and the one-shot walk loop at the end is the
+reference for the anonymity oracle's chunked one.
 """
 
+import math
 import os
 import random
 import re
@@ -14,12 +16,13 @@ import subprocess
 import sys
 import types
 from collections import Counter
+from heapq import heappop, heappush
 
 import numpy as np
 
 import stegrouter
 from stegrouter.core import DEFAULT_METHODS, StegMethodProfile, derive_capabilities, method_table
-from stegrouter.router import RouterTimers, StegRouter
+from stegrouter.router import RouterTimers, StegRouter, best_method_on_link, one_hop_key
 from stegrouter.sim import EventKernel, Platform, _Ev, run
 
 DEFAULT_TABLE = method_table(DEFAULT_METHODS)
@@ -249,6 +252,55 @@ def protocol_tables(routers):
         }
         for agent_id, router in routers.items()
     }
+
+
+def reference_tables_per_agent(capabilities, profiles, hop_limit=32, links=None):
+    """`router.reference_tables` as one generalized Dijkstra per
+    destination over every agent: the specification that the search per
+    class of twins must match, table for table and in row order."""
+    ids = sorted(capabilities)
+    # agent -> (neighbor, -bandwidth, delay, rank) of the link's best method
+    adjacent: dict[AgentId, list[tuple[AgentId, float, float, int]]] = {u: [] for u in ids}
+    for i, u in enumerate(ids):
+        for v in ids[i + 1 :]:
+            shared = capabilities[u] & capabilities[v]
+            if not shared or (links is not None and frozenset((u, v)) not in links):
+                continue
+            one_hop = one_hop_key(profiles[best_method_on_link(shared, profiles)])
+            adjacent[u].append((v, *one_hop))
+            adjacent[v].append((u, *one_hop))
+
+    tables: dict[AgentId, dict[AgentId, tuple]] = {u: {} for u in ids}
+    for dest in ids:
+        # Key order mirrors the metric: (-bottleneck, delay, rank, hops).
+        best: dict[AgentId, tuple] = {dest: (-math.inf, 0.0, 0, 0)}
+        settled: set[AgentId] = set()
+        heap = [(best[dest], dest)]
+        while heap:
+            key, u = heappop(heap)
+            if u in settled:
+                continue
+            settled.add(u)
+            neg_bw, delay, rank, hops = key
+            if u != dest:
+                tables[u][dest] = (-neg_bw, delay, rank, hops)
+            if hops >= hop_limit:
+                continue
+            hops += 1
+            for v, link_neg_bw, link_delay, link_rank in adjacent[u]:
+                if v in settled:
+                    continue
+                cand = (
+                    link_neg_bw if link_neg_bw > neg_bw else neg_bw,
+                    delay + link_delay,
+                    link_rank if link_rank > rank else rank,
+                    hops,
+                )
+                known = best.get(v)
+                if known is None or cand < known:
+                    best[v] = cand
+                    heappush(heap, (cand, v))
+    return tables
 
 
 def random_population(seed, max_agents=50, profiles=DEFAULT_METHODS):

@@ -13,7 +13,10 @@ the routers hold:
   destination reachable within the hop limit has a route;
 - each such route's key is the best row its neighbors offer (outside
   split horizon, within the hop limit, extended by the link), and its
-  next hop is the lowest-id neighbor offering that key.
+  next hop is the lowest-id neighbor offering that key;
+- each such route is usable: `resolve_steg_path` follows it at the
+  platform's clock over Up links to the destination, in as many hops as
+  its key counts.
 
 Routes to departed agents (ghost routes counting to infinity through
 loops of three or more routers) may still be held at `END` and are not
@@ -36,7 +39,7 @@ import math
 
 import pytest
 
-from stegrouter.router import SELF_KEY, reference_tables
+from stegrouter.router import SELF_KEY, reference_tables, resolve_steg_path
 from stegrouter.sim import SimConfig
 
 from harness import SPARSE_METHODS, QuietPlatform
@@ -94,6 +97,8 @@ def assert_fixed_point(platform):
             best = min(offers.values())
             assert key == best, (agent, dest)
             assert next_hop == min(peer for peer, offer in offers.items() if offer == best)
+            path = resolve_steg_path(routers, agent, dest, platform.now)
+            assert path is not None and len(path) == key[3], (agent, dest, path)
 
 
 @pytest.mark.parametrize("n_agents, migration_rate, seed", [

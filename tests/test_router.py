@@ -3,14 +3,24 @@ neighbor lifecycle, update exchange, path resolution, and oracle
 equivalence."""
 
 import hashlib
+import json
 import math
+import random
+import tracemalloc
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from stegrouter import router as router_module
-from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
+from stegrouter.core import (
+    DEFAULT_METHODS,
+    MessageSizes,
+    StegMethodProfile,
+    derive_capabilities,
+    method_table,
+)
 from stegrouter.router import (
     SELF_KEY,
     UNSEEN,
@@ -24,11 +34,13 @@ from stegrouter.sim import SimConfig, run, run_report_lines
 
 from harness import (
     DYADIC_DELAYS,
+    SPARSE_METHODS,
     build_routers,
     converge,
     dyadic_delay_methods,
     protocol_tables,
     random_population,
+    reference_tables_per_agent,
     run_in_child,
     run_rounds,
 )
@@ -713,3 +725,97 @@ class TestReferenceOracle:
         tables = reference_tables(chain, PROFILES, hop_limit=2)
         assert 3 not in tables[0]
         assert tables[0][2][3] == 2
+
+
+@st.composite
+def twin_populations(draw):
+    """A population over the default catalogue, a dyadic-delay one or
+    `SPARSE_METHODS`: most agents take one of a few method sets, so twins
+    are common, and some hold no method at all.  Half the time the links
+    are a subset of the capability links, kept per pair of three groups
+    (so twins can survive) with a share of single pairs flipped (so
+    near-twins are split); and a hop limit from 1 up."""
+    catalogue = draw(st.sampled_from(("default", "dyadic", "sparse")))
+    methods = {"default": DEFAULT_METHODS, "sparse": SPARSE_METHODS}.get(catalogue)
+    if methods is None:
+        methods = dyadic_delay_methods(draw(st.integers(0, 99)))
+    rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+    palette = [derive_capabilities(rng, methods) for _ in range(draw(st.integers(1, 4)))]
+    palette.append(frozenset())
+    capabilities = {
+        agent: rng.choice(palette) if rng.random() < 0.8 else derive_capabilities(rng, methods)
+        for agent in range(draw(st.integers(2, 30)))
+    }
+    links = None
+    if draw(st.booleans()):
+        group = {agent: rng.randrange(3) for agent in capabilities}
+        kept = {(a, b): rng.random() < 0.7 for a in range(3) for b in range(a, 3)}
+        flip = draw(st.sampled_from((0.0, 0.05, 0.3)))
+        links = {
+            frozenset((u, v)) for u in capabilities for v in capabilities
+            if u < v and kept[min(group[u], group[v]), max(group[u], group[v])]
+            != (rng.random() < flip)
+        }
+    hop_limit = draw(st.sampled_from((1, 2, 3, 4, 32)))
+    return capabilities, method_table(methods), hop_limit, links
+
+
+INTERNET = frozenset({"internet"})
+BENCH_GOLDENS = Path(__file__).resolve().parents[1] / "bench" / "goldens.json"
+
+
+def benchmark_panel(member, size):
+    """The capability panel of `size` SAs that the `oracles` benchmark
+    workload (bench/workloads.py) builds for pool member `member`."""
+    rng = random.Random(f"oracles:{member}:sa{size}")
+    return {agent: derive_capabilities(rng) for agent in range(size)}
+
+
+class TestTwinClasses:
+    @settings(max_examples=300, deadline=None)
+    @given(twin_populations())
+    # false twins: same methods and peers, but no link between them
+    @example(({0: INTERNET, 1: INTERNET, 2: INTERNET}, PROFILES, 32,
+              {frozenset((0, 2)), frozenset((1, 2))}))
+    # every agent in one class
+    @example(({agent: INTERNET for agent in range(5)}, PROFILES, 32, None))
+    # destination 2 alone in its class, 0 and 1 twins
+    @example(({0: INTERNET, 1: INTERNET, 2: INTERNET | {"image"}, 3: frozenset({"image"})},
+              PROFILES, 32, None))
+    # hop limit 1 with a twin class: 0 and 1 reach 3 only over 2 hops
+    @example(({0: frozenset({"image"}), 1: frozenset({"image"}),
+               2: frozenset({"image", "audio"}), 3: frozenset({"audio"})}, PROFILES, 1, None))
+    def test_search_per_class_equals_search_per_agent(self, population):
+        capabilities, profiles, hop_limit, links = population
+        got = reference_tables(capabilities, profiles, hop_limit, links)
+        want = reference_tables_per_agent(capabilities, profiles, hop_limit, links)
+        assert got == want
+        assert [(u, list(row.items())) for u, row in got.items()] == [
+            (u, list(row.items())) for u, row in want.items()
+        ]
+
+    def test_benchmark_tables_match_the_benchmark_goldens(self):
+        # The 16 capability panels of the `oracles` workload, each table
+        # serialized as bench/workloads.py `_tables_bytes` does.
+        goldens = json.loads(BENCH_GOLDENS.read_text())["oracles"]
+        for member in range(8):
+            for size in (50, 100):
+                key = f"m{member}/reference_tables/sa{size}"
+                tables = reference_tables(benchmark_panel(member, size), PROFILES)
+                plain = {str(u): {str(v): list(m) for v, m in row.items()}
+                         for u, row in tables.items()}
+                digest = hashlib.sha256(json.dumps(plain, sort_keys=True).encode()).hexdigest()
+                assert digest == goldens[key], key
+
+    def test_traced_peak_stays_small(self):
+        # One search per agent, with a key tuple per pair, peaked at
+        # 2.4 MB here; one search per class of twins, with a key tuple per
+        # pair of classes, peaks near 0.65 MB.
+        capabilities = benchmark_panel(0, 100)
+        tracemalloc.start()
+        try:
+            reference_tables(capabilities, PROFILES)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1_200_000, f"peak {peak / 1e6:.2f} MB"
