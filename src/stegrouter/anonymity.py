@@ -12,6 +12,9 @@ originator of a walk.  Two attack models are analysed:
 
 All entropies are in bits and 0 * log2(0) is taken as 0.  p_f = 1 is
 rejected everywhere (the expected walk never terminates).
+
+The closed forms use the standard library alone; numpy is imported by the
+Monte-Carlo oracle, on its first call.
 """
 from __future__ import annotations
 
@@ -22,9 +25,10 @@ import queue
 import threading
 from dataclasses import dataclass
 from enum import Enum
-from typing import IO, Iterable, Optional, Sequence
+from typing import IO, TYPE_CHECKING, Iterable, Optional, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 
 class InvalidScenarioError(ValueError):
@@ -68,6 +72,8 @@ class SenderDistribution:
     def probabilities(self) -> np.ndarray:
         """Explicit probability vector: predecessor first, then the
         remaining honest agents."""
+        import numpy as np
+
         probs = np.full(self.honest_agents, self.each_other)
         probs[0] = self.predecessor
         return probs
@@ -217,6 +223,8 @@ class MonteCarloEntropy:
 def _entropy_rows(probs: np.ndarray) -> np.ndarray:
     """Shannon entropy (bits) of each probability row; 0 log 0 := 0.
     Overwrites `probs` with the p * log2(p) terms."""
+    import numpy as np
+
     with np.errstate(divide="ignore", invalid="ignore"):
         zero = ~(probs > 0.0)
         probs *= np.log2(probs)
@@ -246,6 +254,8 @@ def _bootstrap_entropies(
     `probabilities` (a row block in, a new float block out).  Drawing the
     rows in blocks gives the same rows as one `multinomial` call of size
     `bootstrap`."""
+    import numpy as np
+
     step = max(1, _BLOCK_ELEMENTS // pvals.size)
     entropies = np.empty(bootstrap)
     for start in range(0, bootstrap, step):
@@ -268,6 +278,8 @@ def _compact(counts, holders, observed, values, moves, out, at):
     `observed` their holders are counted as observed predecessors; where
     `moves` is True (everywhere if it is None) the walk's value is packed
     into `out[at:]`, in order."""
+    import numpy as np
+
     # `compress` selects the same elements as boolean indexing, in the same
     # order, at about a third of its cost on random masks.
     if observed:
@@ -358,6 +370,8 @@ def _simulate_walks(
     the random stream and every result for a fixed seed are the same as
     drawing and compacting on one thread.
     """
+    import numpy as np
+
     honest = n - c
     counts = np.zeros(honest, dtype=np.int64)
     misses = 0
@@ -422,6 +436,8 @@ def monte_carlo_entropy(
     `_BOOTSTRAP` resamples over trials.
     Bit-identical results for a fixed seed.
     """
+    import numpy as np
+
     _require_honest_sender(s)
     if trials < 1:
         raise ValueError("trials must be >= 1")

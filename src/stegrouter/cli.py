@@ -303,8 +303,8 @@ def _parse_float_grid(text: str, label: str) -> list[float]:
 
 
 def _cmd_entropy(args: argparse.Namespace) -> int:
-    # anonymity (and with it numpy) is imported here, not at module level,
-    # so that `simulate` runs on the standard library alone
+    # anonymity is imported here, not at module level, so that `simulate`
+    # does not compile it; numpy is loaded only if `--oracle` runs a draw
     from .anonymity import (
         AdversaryScenario,
         AttackKind,

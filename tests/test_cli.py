@@ -3,6 +3,7 @@
 import ast
 import csv
 import dataclasses
+import hashlib
 import json
 import math
 import random
@@ -237,6 +238,18 @@ class TestSimulate:
 
 
 class TestEntropy:
+    # both attacks at N=10^4 over 51 colluder counts and 3 forwarding
+    # probabilities: 306 closed-form rows, pinned while numpy was still
+    # imported with the closed forms
+    GRID = ("entropy", "--n", "10000", "--colluders", "0..5000:100", "--pf", "0.66,0.75,0.8")
+    GRID_SHA256 = "d9c8029307a8c1e8c183b2cad8d76d22eedade69e427478cfc82e8e51aec77b6"
+
+    def test_closed_form_grid_is_pinned(self, capsys):
+        assert run_cli(*self.GRID) == 0
+        out = capsys.readouterr().out
+        assert out.count("\n") == 1 + 306
+        assert hashlib.sha256(out.encode()).hexdigest() == self.GRID_SHA256
+
     def test_stdout_grid(self, capsys):
         assert run_cli("entropy", "--n", "100", "--colluders", "10",
                        "--pf", "0.75", "--attack", "adaptive") == 0
@@ -526,7 +539,8 @@ class TestImportPath:
 
     def test_simulate_imports_no_scipy(self, tmp_path):
         # numpy's and scipy's imports alone cost more than a short simulate
-        # run; only `entropy` may pull numpy in, and nothing scipy
+        # run; only the Monte-Carlo oracle may pull numpy in, and nothing scipy
+        grid = "'entropy', '--n', '100', '--colluders', '5', '--pf', '0.75'"
         out = run_in_child(
             self.LOADED
             + "import stegrouter.sim\n"
@@ -535,19 +549,25 @@ class TestImportPath:
             "code = cli.main(['simulate', '--set', 'n_agents=30', '--set', 'duration=60',\n"
             f"                 '--output-dir', {str(tmp_path)!r}])\n"
             "after_simulate = loaded('numpy') + loaded('scipy')\n"
-            "entropy_code = cli.main(['entropy', '--n', '100', '--colluders', '5', '--pf', '0.75',\n"
-            f"                         '--output', {str(tmp_path / 'entropy.csv')!r}])\n"
-            "entropy_loads = ['numpy' in loaded('numpy'), 'scipy' in loaded('scipy')]\n"
-            "print(json.dumps([code, after_import, after_simulate, entropy_code, entropy_loads]))\n"
+            f"entropy_code = cli.main([{grid}, '--output', {str(tmp_path / 'entropy.csv')!r}])\n"
+            "after_entropy = loaded('numpy') + loaded('scipy')\n"
+            f"oracle_code = cli.main([{grid}, '--oracle', '10',\n"
+            f"                        '--output', {str(tmp_path / 'oracle.csv')!r}])\n"
+            "oracle_loads = ['numpy' in loaded('numpy'), 'scipy' in loaded('scipy')]\n"
+            "print(json.dumps([code, after_import, after_simulate, entropy_code, after_entropy,\n"
+            "                  oracle_code, oracle_loads]))\n"
         )
-        code, after_import, after_simulate, entropy_code, entropy_loads = (
-            json.loads(out.splitlines()[-1]))
+        (code, after_import, after_simulate, entropy_code, after_entropy,
+         oracle_code, oracle_loads) = json.loads(out.splitlines()[-1])
         assert code == 0
         assert after_import == []
         assert after_simulate == []
+        # the closed forms run on the standard library alone
         assert entropy_code == 0
-        # the probe does see numpy once it is imported
-        assert entropy_loads == [True, False]
+        assert after_entropy == []
+        # the probe does see numpy once the oracle imports it
+        assert oracle_code == 0
+        assert oracle_loads == [True, False]
 
         # next to the simulate run's summary, the pinned report input: it
         # holds a scenario whose CI needs the Student-t quantile
@@ -581,6 +601,47 @@ class TestImportPath:
             f"sys.exit(cli.main(['report', {str(tmp_path)!r}]))\n"
         )
         assert out == TestReport.PINNED_OUTPUT
+
+    # every closed form, and the scenario table without the oracle, as JSON
+    CLOSED_FORMS = (
+        "import dataclasses, io\n"
+        "from stegrouter import anonymity as a\n"
+        "scenarios = [a.AdversaryScenario(100, c, 0.75, kind)\n"
+        "             for c in (0, 5, 99) for kind in a.AttackKind]\n"
+        "closed = [[a.predecessor_probability(s), a.escape_probability(s),\n"
+        "           *(list(dataclasses.astuple(f(s))) for f in\n"
+        "             (a.sender_distribution, a.adaptive_entropy, a.static_entropy))]\n"
+        "          for s in scenarios]\n"
+        "closed += [a.mean_path_length(0.75), list(a.recommended_pf_range())]\n"
+        "table = io.StringIO()\n"
+        "a.write_entropy_csv(a.evaluate_scenarios(scenarios, oracle_trials=None), table)\n"
+        "closed.append(table.getvalue())\n"
+    )
+
+    def test_closed_forms_run_without_numpy(self):
+        # numpy blocked outright: every import of it fails in the child
+        grid = list(TestEntropy.GRID)
+        out = run_in_child(
+            "sys.modules['numpy'] = None\n"
+            + self.CLOSED_FORMS
+            + "import contextlib, hashlib, json\n"
+            "from stegrouter import cli\n"
+            "rows, oracle, err = io.StringIO(), io.StringIO(), io.StringIO()\n"
+            "with contextlib.redirect_stdout(rows):\n"
+            f"    code = cli.main({grid!r})\n"
+            "with contextlib.redirect_stdout(oracle), contextlib.redirect_stderr(err):\n"
+            f"    oracle_code = cli.main({grid + ['--oracle', '10']!r})\n"
+            "print(json.dumps([closed, code, hashlib.sha256(rows.getvalue().encode()).hexdigest(),\n"
+            "                  oracle_code, oracle.getvalue(), err.getvalue()]))\n"
+        )
+        closed, code, digest, oracle_code, oracle_out, oracle_err = json.loads(out)
+        expected = {}
+        exec(self.CLOSED_FORMS, expected)
+        assert closed == json.loads(json.dumps(expected["closed"]))
+        assert (code, digest) == (0, TestEntropy.GRID_SHA256)
+        # the oracle needs numpy: a runtime failure that names it
+        assert (oracle_code, oracle_out) == (3, "")
+        assert "numpy" in oracle_err
 
     def test_numpy_is_imported_by_anonymity_alone(self):
         # every import in the package's modules, read from their syntax
