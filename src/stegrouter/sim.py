@@ -221,15 +221,6 @@ class EventKernel:
         self.now = until
 
 
-@dataclass(slots=True)
-class _Topology:
-    """Cached view of the current steg-link graph (alive SAs only)."""
-
-    n_links: int
-    sum_best_bw: float
-    connected_pairs: int
-
-
 class Platform:
     """One simulated platform instance.
 
@@ -252,7 +243,9 @@ class Platform:
         self._mask: dict[AgentId, int] = {}
         self._bit = {p.id: 1 << i for i, p in enumerate(config.methods)}
         self._bw_by_mask = _BestBandwidth(self.profiles)
-        self._topology: Optional[_Topology] = None  # None: rebuild on next read
+        # (n_links, sum_best_bw, connected_pairs) of the alive steg agents,
+        # from `_build_topology`; None: rebuild on next read
+        self._topology: Optional[tuple[int, float, int]] = None
         # Departed steg agents that some table may still route to.
         self._gone: set[AgentId] = set()
         # Departed steg agents whose masks are kept, with their departure
@@ -575,11 +568,6 @@ class Platform:
 
     # -- measurement -----------------------------------------------------------
 
-    def _current_topology(self) -> _Topology:
-        if self._topology is None:
-            self._topology = _build_topology(self.routers, self._mask, self._bw_by_mask)
-        return self._topology
-
     def _routed_pairs(self) -> int:
         """The routes held to alive steg agents: all routes less those to
         the departed agents in `_gone`.  A departed agent that no table
@@ -604,24 +592,23 @@ class Platform:
         disconnected in the steg-link graph are unroutable by construction
         and excluded, and the level is vacuously 1.0 when no pair is
         reachable.  The all-pairs level uses every ordered alive-SA pair."""
-        topo = self._current_topology()
+        if self._topology is None:
+            self._topology = _build_topology(self.routers, self._mask, self._bw_by_mask)
+        n_links, sum_best_bw, connected_pairs = self._topology
         window = now - self._last_sample_t
         routed = self._routed_pairs()
-        level = 1.0 if topo.connected_pairs == 0 else routed / topo.connected_pairs
+        level = 1.0 if connected_pairs == 0 else routed / connected_pairs
         n_sa = len(self.routers)
         level_all = 1.0 if n_sa < 2 else routed / (n_sa * (n_sa - 1))
-        win = self._win_link_bits
-        link_bits = sum(win.values()) + self._win_hello_bits
-        if topo.n_links and window > 0:
-            overhead = (link_bits + self._win_walk_bits) / (window * topo.n_links)
-        else:
-            overhead = 0.0
-        if topo.sum_best_bw and window > 0:
-            usage = link_bits / (topo.sum_best_bw * window)
-        else:
-            usage = 0.0
-        saturated = 0
-        if topo.n_links and window > 0:
+        # Every bandwidth is positive, so `sum_best_bw` is zero exactly
+        # when `n_links` is, and all three link meters read 0.0 then.
+        overhead = usage = sat_fraction = 0.0
+        if n_links and window > 0:
+            win = self._win_link_bits
+            link_bits = sum(win.values()) + self._win_hello_bits
+            overhead = (link_bits + self._win_walk_bits) / (window * n_links)
+            usage = link_bits / (sum_best_bw * window)
+            saturated = 0
             mask, bw, links = self._mask, self._bw_by_mask, self._links
             beacons, start = self._beacons, self._win_start
             # No live link carried more hellos this window than its two
@@ -643,7 +630,7 @@ class Platform:
                 for key, formed in live.items():
                     if key not in win and self._window_hello_bits(key, formed) >= capacity:
                         saturated += 1
-        sat_fraction = saturated / topo.n_links if topo.n_links else 0.0
+            sat_fraction = saturated / n_links
         return MetricsFrame(
             time=now,
             convergence_level=level,
@@ -705,7 +692,7 @@ def _build_topology(
     alive_sas: Collection[AgentId],
     mask: Mapping[AgentId, int],
     bw_by_mask: Mapping[int, float],
-) -> _Topology:
+) -> tuple[int, float, int]:
     """Link count, summed best-link bandwidth and ordered connected SA
     pairs of the alive population, counted over its classes of equal
     capability mask (at most 2^16, usually a few dozen) instead of its SAs.
@@ -740,7 +727,7 @@ def _build_topology(
             count += sizes.pop(methods)
         sizes[m] = count
     connected_pairs = sum(k * (k - 1) for k in sizes.values())
-    return _Topology(n_links, sum_best_bw, connected_pairs)
+    return n_links, sum_best_bw, connected_pairs
 
 
 def run(config: SimConfig, trace: Optional[TraceFn] = None) -> RunReport:

@@ -183,6 +183,16 @@ class TestSimulate:
         assert header["config"]["duration"] == 30.0
         assert header["config"]["seed"] == 2
 
+    def test_run_shorter_than_a_sampling_interval_has_empty_means(self, tmp_path):
+        assert run_cli("simulate", "--set", "n_agents=30", "--set", "duration=5",
+                       "--seeds", "1", "--output-dir", str(tmp_path)) == 0
+        lines = (tmp_path / "run-seed1.jsonl").read_text().splitlines()
+        assert [json.loads(line)["type"] for line in lines] == ["header", "summary"]
+        [row] = read_csv(tmp_path / "run-summary.csv")
+        empty = ("convergence_time_s", "undiscovered_fraction", "mean_overhead_bps",
+                 "mean_capacity_usage", "mean_saturation", "convergence_time_min")
+        assert {column: row[column] for column in empty} == dict.fromkeys(empty, "")
+
     def test_comma_seed_list(self, tmp_path):
         assert run_cli(*self.small_args(tmp_path, "--seeds", "2,7")) == 0
         assert (tmp_path / "run-seed2.jsonl").exists()

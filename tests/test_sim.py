@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 
 from stegrouter import sim
 from stegrouter.core import DEFAULT_METHODS, MessageSizes, StegMethodProfile, method_table
-from stegrouter.router import RouterTimers, StegRouter, best_method_on_link
+from stegrouter.router import RouterTimers, StegRouter, best_method_on_link, resolve_steg_path
 from stegrouter.cli import PRESETS
 from stegrouter.sim import (
     SUMMARY_CSV_COLUMNS,
@@ -300,6 +300,21 @@ class TestConvergence:
             assert router.vouched == len(router.neighbors)
         assert platform.convergence_level() == 1.0
 
+    def test_path_through_a_departed_relay_does_not_resolve(self):
+        platform = Platform(SimConfig(duration=400.0, n_agents=40, seed=1))
+        platform.run_until(300.0)
+        source, dest, relay = next(
+            (source, dest, route[0]) for source, router in platform.routers.items()
+            for dest, route in router.routes.items() if route[0] != dest)
+        assert resolve_steg_path(platform.routers, source, dest, platform.now) is not None
+        platform.remove_agent(relay)
+        # the relay has left the platform, but the source still routes via
+        # it and counts it Up until the hold time has passed
+        assert relay not in platform.routers
+        assert platform.routers[source].routes[dest][0] == relay
+        assert platform.routers[source].is_up(relay, platform.now)
+        assert resolve_steg_path(platform.routers, source, dest, platform.now) is None
+
 
 class TestMigration:
     def test_no_migration_no_churn(self):
@@ -354,6 +369,19 @@ class TestMigration:
         assert len(counted) == 180
         assert [fast for fast, _, _ in counted] == [alive for _, alive, _ in counted]
         assert any(alive < held for _, alive, held in counted)
+
+    def test_removing_a_departed_agent_again_is_a_no_op(self):
+        config = SimConfig(duration=300.0, n_agents=30, methods=TEXT_ONLY, seed=6)
+        reports = []
+        for removals in (1, 2):
+            platform = Platform(config)
+            platform.run_until(100.0)
+            victim = min(platform.routers)
+            for _ in range(removals):
+                platform.remove_agent(victim)
+            platform.run_until(config.duration)
+            reports.append(list(run_report_lines(platform.report())))
+        assert reports[0] == reports[1]
 
     def test_departed_mask_is_kept_at_exactly_the_hold_time(self):
         # b departs at t=100 right after its final beacon, so a's entry of b
@@ -677,11 +705,12 @@ class TestTopology:
             bw_by_mask = [0.0] + [rng.uniform(0.0, 1e6) for _ in range(1, 1 << width)]
         else:
             bw_by_mask = [float(m) for m in range(1 << width)]
-        topo = _build_topology(range(len(masks)), dict(enumerate(masks)), bw_by_mask)
+        n_links, sum_best_bw, connected_pairs = _build_topology(
+            range(len(masks)), dict(enumerate(masks)), bw_by_mask)
         pairs = [(a, b) for a in range(len(masks)) for b in range(a + 1, len(masks))]
-        assert topo.connected_pairs == components_by_bfs(masks)
-        assert topo.n_links == sum(1 for a, b in pairs if masks[a] & masks[b])
-        assert topo.sum_best_bw == float(
+        assert connected_pairs == components_by_bfs(masks)
+        assert n_links == sum(1 for a, b in pairs if masks[a] & masks[b])
+        assert sum_best_bw == float(
             sum(Fraction(bw_by_mask[masks[a] & masks[b]]) for a, b in pairs))
 
     @pytest.mark.parametrize("catalogue", [DEFAULT_METHODS, dyadic_delay_methods(1), TEXT_ONLY],
@@ -699,9 +728,9 @@ class TestTopology:
         upper = pair[np.triu_indices(len(masks), 1)]
         bw = platform._bw_by_mask
         numpy_sum = float(np.array([bw[m] if m else 0.0 for m in upper.tolist()]).sum())
-        topo = _build_topology(platform.routers, platform._mask, bw)
-        assert topo.sum_best_bw.hex() == numpy_sum.hex()
-        assert topo.n_links == int((upper != 0).sum())
+        n_links, sum_best_bw, _ = _build_topology(platform.routers, platform._mask, bw)
+        assert sum_best_bw.hex() == numpy_sum.hex()
+        assert n_links == int((upper != 0).sum())
 
     def test_best_bandwidth_table_matches_best_method_on_link(self):
         # few distinct bandwidths and delays, so the one-hop keys often tie on them

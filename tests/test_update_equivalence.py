@@ -274,6 +274,18 @@ def incremental(router, batch, now):
     [("emit", 1, 0), ("lose", 2, 0), ("emit_one", 1, 0), ("lose", 0, 0),
      ("emit_one", 1, 0), ("emit", 1, 0), ("redeliver", 13, 1), ("redeliver", 14, 0)],
 ))
+# A table from a sender that is not Up is ignored: 1 loses its link to 2
+# and sends its withdrawal of 2 to 3 alone; then the link from 0 to 1 is
+# silenced past its hold time, with no expiry check, and that batch is
+# delivered to 0.  0 still routes to 2 via 1, but must not withdraw it.
+@example((
+    method_table(DEFAULT_METHODS),
+    {0: frozenset({"text"}), 1: frozenset({"text", "audio"}), 2: frozenset({"audio"}),
+     3: frozenset({"audio"})},
+    32,
+    [("silence", 1, 0), ("tick", 2, 0), ("tick", 2, 0), ("emit_one", 1, 1),
+     ("silence", 0, 0), ("tick", 2, 0), ("tick", 2, 0), ("redeliver", 12, 0)],
+))
 @settings(max_examples=300, deadline=None)
 @given(scenarios())
 def test_incremental_matches_full_table_rule(scenario):
