@@ -8,6 +8,7 @@ import hashlib
 import io
 import json
 import math
+import os
 import sys
 import threading
 import time
@@ -27,8 +28,10 @@ from stegrouter.anonymity import (
     ENTROPY_CSV_COLUMNS,
     AdversaryScenario,
     AttackKind,
+    EntropyReport,
     InvalidScenarioError,
     _bootstrap_entropies,
+    _cpus,
     _entropy_rows,
     _simulate_walks,
     adaptive_entropy,
@@ -102,6 +105,11 @@ class TestAdaptiveEntropy:
         assert 0.0 <= report.entropy_bits <= report.max_entropy_bits
         assert report.max_entropy_bits == math.log2(900)
         assert not report.as_printed
+
+    def test_report_outside_bounds_is_rejected_unless_printed(self):
+        with pytest.raises(ValueError, match="outside"):
+            EntropyReport(5.0, 1.0, 1.0)
+        assert EntropyReport(5.0, 1.0, 1.0, as_printed=True).entropy_bits == 5.0
 
 
 class TestEscapeProbability:
@@ -259,6 +267,13 @@ class TestMonteCarlo:
         with pytest.raises(ValueError):
             monte_carlo_entropy(s, trials=0)
 
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_adaptive_estimate_needs_an_observed_walk(self, seed):
+        # one walk among 10^4 agents that never forwards reaches the single
+        # colluder with probability 10^-4, so nothing is observed
+        with pytest.raises(RuntimeError, match="no walk met a colluder"):
+            monte_carlo_entropy(scenario(10_000, 1, 0.0), trials=1, seed=seed)
+
     def test_bootstrap_memory_is_blocked(self):
         # 200 bootstrap rows of 9,001 categories take 14 MB as counts;
         # one float copy of them per step of the entropy took the peak
@@ -377,6 +392,11 @@ class TestChunkedDraws:
 class TestCompactionThread:
     """The helper thread never outlives the walk loop, and its errors
     surface in the caller instead of hanging it."""
+
+    def test_cpus_without_affinity_is_the_cpu_count(self, monkeypatch):
+        # platforms without sched_getaffinity fall back to the CPU count
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        assert _cpus() == os.cpu_count()
 
     def test_no_thread_outlives_the_call(self):
         before = threading.active_count()

@@ -3,11 +3,14 @@
 import ast
 import csv
 import dataclasses
+import errno
 import hashlib
 import json
 import math
+import os
 import random
 import re
+import runpy
 import sys
 import typing
 from pathlib import Path
@@ -18,8 +21,10 @@ from scipy import stats
 
 import stegrouter
 from stegrouter.cli import (
-    PRESETS, REPORT_CSV_COLUMNS, _SECTION_KEYS, _load_config_file, _student_t_975, main,
+    PRESETS, REPORT_CSV_COLUMNS, _SECTION_KEYS, _build_parser, _load_config_file,
+    _resolve_config, _student_t_975, main,
 )
+from stegrouter.router import RouterTimers
 from stegrouter.sim import SUMMARY_CSV_COLUMNS, SimConfig, write_summary_csv
 
 from harness import run_in_child
@@ -78,6 +83,24 @@ class TestValidate:
     def test_rejects_non_finite_value(self, override):
         assert run_cli("validate", "--set", override) == 2
 
+    @pytest.mark.parametrize("override", ["timers.bogus=1", "n_agents=abc"])
+    def test_rejects_unknown_field_or_unreadable_value(self, override, capsys):
+        assert run_cli("validate", "--set", override) == 2
+        assert "invalid configuration" in capsys.readouterr().err
+
+    def test_keys_of_one_section_merge(self, tmp_path):
+        # `validate` does not print the nested sections, so read the
+        # resolved config
+        def timers(*argv):
+            return _resolve_config(_build_parser().parse_args(["validate", *argv])).timers
+
+        assert timers("--set", "timers.hold_time=20", "--set", "timers.hello_interval=4") == (
+            RouterTimers(hello_interval=4.0, hold_time=20.0))
+        ini = tmp_path / "timers.ini"
+        ini.write_text("[timers]\nhold_time = 20\n")
+        assert timers("--config", str(ini), "--set", "timers.update_interval=40") == (
+            RouterTimers(hold_time=20.0, update_interval=40.0))
+
     def test_nested_override_sections(self, capsys):
         assert run_cli("validate", "--set", "timers.hold_time=25",
                        "--set", "messages.hello=48") == 0
@@ -105,6 +128,11 @@ class TestValidate:
     def test_unknown_config_section(self, tmp_path):
         ini = tmp_path / "bad.ini"
         ini.write_text("[simulation]\nn_agents = 10\n")
+        assert run_cli("validate", "--config", str(ini)) == 2
+
+    def test_config_file_without_a_section_header(self, tmp_path):
+        ini = tmp_path / "bare.ini"
+        ini.write_text("n_agents = 10\n")
         assert run_cli("validate", "--config", str(ini)) == 2
 
     def test_missing_config_file(self, tmp_path):
@@ -145,6 +173,16 @@ class TestValidate:
         assert run_cli("validate", "--set", "sizes.hello=1") == 2
 
 
+def test_module_runs_as_a_script(monkeypatch, capsys):
+    # `python -m stegrouter.cli` reaches the same entry point
+    monkeypatch.setattr(sys, "argv", ["stegrouter", "presets"])
+    monkeypatch.delitem(sys.modules, "stegrouter.cli")  # run it afresh, as `-m` does
+    with pytest.raises(SystemExit) as info:
+        runpy.run_module("stegrouter.cli", run_name="__main__")
+    assert info.value.code == 0
+    assert capsys.readouterr().out.startswith("n250: n_agents=250\n")
+
+
 class TestUsageErrors:
     def test_unknown_flag(self):
         with pytest.raises(SystemExit) as info:
@@ -161,6 +199,13 @@ class TestSimulate:
     def small_args(self, out_dir, *extra):
         return ("simulate", "--set", "n_agents=30", "--set", "duration=60",
                 "--output-dir", str(out_dir), *extra)
+
+    def test_output_dir_that_is_a_file_is_a_runtime_error(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        assert run_cli(*self.small_args(taken, "--seeds", "1")) == 3
+        err = capsys.readouterr().err
+        assert os.strerror(errno.EEXIST) in err and str(taken) in err
 
     def test_seed_sweep_outputs(self, tmp_path, capsys):
         assert run_cli(*self.small_args(tmp_path, "--seeds", "1..3")) == 0
@@ -339,6 +384,10 @@ class TestEntropy:
     def test_empty_grid_is_an_error(self):
         assert run_cli("entropy", "--n", "100", "--colluders", "5..1",
                        "--pf", "0.75") == 2
+
+    @pytest.mark.parametrize("pf", ["abc", ","])
+    def test_unreadable_or_empty_pf_grid_is_an_error(self, pf):
+        assert run_cli("entropy", "--n", "100", "--colluders", "5", "--pf", pf) == 2
 
     def test_domain_error_maps_to_config_exit(self):
         # colluders beyond the population: scenario domain rejects it

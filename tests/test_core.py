@@ -1,6 +1,7 @@
 """Data-model tests: method profiles, capability draws, steg-links as the
 routers and the platform form them, message sizes."""
 
+import dataclasses
 import math
 import random
 
@@ -67,6 +68,18 @@ class TestMethodCatalogue:
         twin = DEFAULT_METHODS[0]
         with pytest.raises(ValueError):
             method_table((twin, twin))
+
+    def test_ranks_start_at_one_and_differ(self):
+        with pytest.raises(ValueError, match="preference_rank"):
+            StegMethodProfile("x", "X", bandwidth_bps=10, delay_s=0.0, occurrence=0.5,
+                              preference_rank=0)
+        first, second = DEFAULT_METHODS[:2]
+        with pytest.raises(ValueError, match="duplicate preference rank"):
+            method_table((first, dataclasses.replace(second, preference_rank=1)))
+
+    def test_empty_table_rejected(self):
+        with pytest.raises(ValueError, match="must not be empty"):
+            method_table(())
 
 
 class TestDeriveCapabilities:
