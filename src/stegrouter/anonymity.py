@@ -456,22 +456,22 @@ def monte_carlo_entropy(
                 "no walk met a colluder; raise trials to estimate the "
                 "adaptive posterior"
             )
-        probs = counts / observations
-        entropy = float(_entropy_rows(probs.copy()))
-        entropies = _bootstrap_entropies(
-            rng, observations, probs, _BOOTSTRAP, lambda block: block / observations
-        )
-    else:
-        weights = counts + misses / honest
-        entropy = float(_entropy_rows(weights / trials))
-        categories = np.append(counts, misses) / trials
+        total, cells = observations, counts
 
         def probabilities(block: np.ndarray) -> np.ndarray:
-            boot_weights = block[:, :honest] + block[:, honest:] / honest
-            boot_weights /= trials
-            return boot_weights
+            return block / observations
+    else:
+        # The misses are the last cell; each spreads uniformly over the
+        # honest agents.
+        total, cells = trials, np.append(counts, misses)
 
-        entropies = _bootstrap_entropies(rng, trials, categories, _BOOTSTRAP, probabilities)
+        def probabilities(block: np.ndarray) -> np.ndarray:
+            weights = block[..., :honest] + block[..., honest:] / honest
+            weights /= trials
+            return weights
+
+    entropy = float(_entropy_rows(probabilities(cells)))
+    entropies = _bootstrap_entropies(rng, total, cells / total, _BOOTSTRAP, probabilities)
     rate = observations / trials
 
     low, high = np.percentile(entropies, [2.5, 97.5])

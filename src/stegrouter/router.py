@@ -67,10 +67,10 @@ routes per next hop as the table changes, so an emission copies the
 split-horizon group sizes instead of counting them.
 
 A router shares its immutable values instead of rebuilding them.  A link
-key depends only on the link's method, so each router makes one link key
-per method, with one table of the keys extended by it (the hop limit is
-the router's own constant), and every neighbor entry over that method
-holds the same two objects.  Route keys take few distinct values, so a
+key depends only on the link's method, so a router makes one link key
+per method it holds when it is made, with one table of the keys extended
+by it (the hop limit is the router's own constant), and every neighbor
+entry over that method holds the same two objects.  Route keys take few distinct values, so a
 key is extended once per table and looked up after that; every extended
 key is interned in the router's `_keys`, so two extended keys are equal
 exactly when they are the same object.  A neighbor entry keeps the last
@@ -236,9 +236,11 @@ class StegRouter:
         self._lost: list[AgentId] = []
         # next hop -> number of routes through it (entries may be zero)
         self._via: dict[AgentId, int] = {}
-        # method -> (its link key, {sender key: that key extended by the
+        # held method -> (its link key, {sender key: that key extended by the
         # link, None beyond the hop limit}); and the extended keys, interned.
-        self._links: dict[StegMethodId, tuple[Key, dict[Key, Optional[Key]]]] = {}
+        self._links: dict[StegMethodId, tuple[Key, dict[Key, Optional[Key]]]] = {
+            method: ((*one_hop_key(profiles[method]), 1), {}) for method in capabilities
+        }
         self._keys: dict[Key, Key] = {}
 
     # -- neighbor maintenance -------------------------------------------
@@ -267,11 +269,7 @@ class StegRouter:
             entry.seen_version = UNSEEN  # the next table is applied in full
             return True
         method = best_method_on_link(shared, self.profiles)
-        link = self._links.get(method)
-        if link is None:
-            link_key = (*one_hop_key(self.profiles[method]), 1)
-            link = self._links[method] = (link_key, {})
-        link_key, table = link
+        link_key, table = self._links[method]
         self.neighbors[advertiser] = NeighborEntry(
             best_method=method,
             link_key=link_key,

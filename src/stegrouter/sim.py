@@ -274,9 +274,14 @@ class Platform:
         self._rng_timers = random.Random(f"{config.seed}:timers")
         self._rng_migrations = random.Random(f"{config.seed}:migrations")
 
-        self._build_population()
-        for agent_id in self.routers:
-            self._start_timers(agent_id, 0.0, self._rng_timers)
+        n = config.n_agents
+        steg_ids = set(self._rng_population.sample(range(n), config.n_steg_agents))
+        for agent_id in range(n):
+            caps = frozenset()
+            if agent_id in steg_ids:
+                caps = derive_capabilities(self._rng_population, config.methods)
+            self._add_agent(agent_id, caps, 0.0, self._rng_timers)
+        self._next_id = n
         if config.migration_rate > 0:
             self.kernel.schedule(
                 self._rng_migrations.expovariate(config.migration_rate), _MIGRATE
@@ -286,32 +291,26 @@ class Platform:
 
     # -- population --------------------------------------------------------
 
-    def _build_population(self) -> None:
-        cfg = self.config
-        n = cfg.n_agents
-        steg_ids = set(self._rng_population.sample(range(n), cfg.n_steg_agents))
-        for agent_id in range(n):
-            if agent_id in steg_ids:
-                self._add_agent(agent_id, derive_capabilities(self._rng_population, cfg.methods))
-            else:
-                self._add_agent(agent_id, frozenset())
-        self._next_id = n
-
-    def _add_agent(self, agent_id: AgentId, caps: frozenset) -> None:
+    def _add_agent(
+        self, agent_id: AgentId, caps: frozenset, now: float, rng: random.Random
+    ) -> None:
         """Add an alive agent: a steg agent when `caps` is non-empty, an
-        ordinary one otherwise."""
+        ordinary one otherwise.  A steg agent's first hello, update and
+        discovery are scheduled at offsets from `now` drawn from `rng` in
+        that order, each uniform over its interval."""
         self._alive.append(agent_id)
         if caps:
+            cfg = self.config
             self._mask[agent_id] = sum(self._bit[m] for m in caps)
             self._beacons[agent_id] = self._win_start[agent_id] = 0
             self.routers[agent_id] = StegRouter(
-                agent_id,
-                caps,
-                self.profiles,
-                timers=self.config.timers,
-                hop_limit=self.config.hop_limit,
+                agent_id, caps, self.profiles, timers=cfg.timers, hop_limit=cfg.hop_limit
             )
             self._topology = None  # the topology counts steg agents only
+            schedule = self.kernel.schedule
+            schedule(now + rng.uniform(0, cfg.timers.hello_interval), _HELLO, agent_id)
+            schedule(now + rng.uniform(0, cfg.timers.update_interval), _UPDATE, agent_id)
+            schedule(now + rng.uniform(0, cfg.discovery_interval), _DISCOVERY, agent_id)
 
     def remove_agent(self, agent_id: AgentId) -> None:
         """Forced departure: the agent stops all activity immediately and
@@ -338,27 +337,12 @@ class Platform:
             self._gone.add(agent_id)
             self._topology = None
 
-    def _spawn_replacement(self, steg: bool, now: float) -> AgentId:
+    def _spawn_replacement(self, steg: bool, now: float) -> None:
         agent_id = self._next_id
         self._next_id += 1
-        cfg = self.config
         rng = self._rng_migrations
-        self._add_agent(agent_id, derive_capabilities(rng, cfg.methods) if steg else frozenset())
-        if steg:
-            self._start_timers(agent_id, now, rng)
-        return agent_id
-
-    # -- scheduling ---------------------------------------------------------
-
-    def _start_timers(self, agent_id: AgentId, now: float, rng: random.Random) -> None:
-        """Schedule a new steg agent's first hello, update and discovery at
-        offsets from `now` drawn from `rng` in that order, each uniform over
-        its interval."""
-        cfg = self.config
-        schedule = self.kernel.schedule
-        schedule(now + rng.uniform(0, cfg.timers.hello_interval), _HELLO, agent_id)
-        schedule(now + rng.uniform(0, cfg.timers.update_interval), _UPDATE, agent_id)
-        schedule(now + rng.uniform(0, cfg.discovery_interval), _DISCOVERY, agent_id)
+        caps = derive_capabilities(rng, self.config.methods) if steg else frozenset()
+        self._add_agent(agent_id, caps, now, rng)
 
     # -- event loop -----------------------------------------------------------
 
@@ -530,9 +514,7 @@ class Platform:
         # covert channel, then both sides swap full tables.
         self._send("discovery", holder, originator, self.config.sizes.discovery)
         for router, dest in ((receiver, originator), (origin, holder)):
-            batch = router.build_update(now)
-            if batch is not None:
-                self._emit(batch, (dest,), now)
+            self._emit(router.build_update(now), (dest,), now)
 
     def _on_migrate(self, now: float) -> None:
         victim = self._alive[self._rng_migrations.randrange(len(self._alive))]

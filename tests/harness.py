@@ -27,6 +27,10 @@ from stegrouter.sim import EventKernel, Platform, _Ev, run
 
 DEFAULT_TABLE = method_table(DEFAULT_METHODS)
 
+# One universally shared method: every steg-agent pair can link, so the
+# steg-link graph is always connected.
+TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
+
 
 def build_routers(capabilities, profiles=DEFAULT_TABLE, timers=None, hop_limit=32):
     timers = timers or RouterTimers()
@@ -155,8 +159,8 @@ class FullTablePlatform(Platform):
     that `Platform`, whose routers process updates incrementally, must
     match at every step of the simulator's event order."""
 
-    def _add_agent(self, agent_id, caps):
-        super()._add_agent(agent_id, caps)
+    def _add_agent(self, agent_id, caps, now, rng):
+        super()._add_agent(agent_id, caps, now, rng)
         if caps:
             router = self.routers[agent_id]
             router.process_update = types.MethodType(reference_process_update, router)

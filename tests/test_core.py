@@ -17,9 +17,7 @@ from stegrouter.core import (
 from stegrouter.router import StegRouter
 from stegrouter.sim import Platform, SimConfig
 
-PROFILES = method_table(DEFAULT_METHODS)
-# one universally shared method: every SA pair can link
-TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
+from harness import DEFAULT_TABLE, TEXT_ONLY
 
 
 class TestMethodCatalogue:
@@ -135,8 +133,8 @@ class TestStegLink:
     capability sets intersect; it carries the best shared method."""
 
     def test_shared_method_intersection(self):
-        x = StegRouter(1, frozenset({"image", "internet"}), PROFILES)
-        y = StegRouter(2, frozenset({"image", "audio"}), PROFILES)
+        x = StegRouter(1, frozenset({"image", "internet"}), DEFAULT_TABLE)
+        y = StegRouter(2, frozenset({"image", "audio"}), DEFAULT_TABLE)
         assert x.ingest_discovery(2, y.capabilities, now=0.0)
         assert y.ingest_discovery(1, x.capabilities, now=0.0)
         # only image is shared: neither endpoint may use internet or audio
@@ -144,7 +142,7 @@ class TestStegLink:
         assert y.neighbors[1].best_method == "image"
 
     def test_no_shared_method(self):
-        x = StegRouter(1, frozenset({"image"}), PROFILES)
+        x = StegRouter(1, frozenset({"image"}), DEFAULT_TABLE)
         assert x.ingest_discovery(2, frozenset({"audio"}), now=0.0) is False
         assert not x.neighbors
 
@@ -159,7 +157,7 @@ class TestStegLink:
             assert set(router.neighbors) <= steg
 
     def test_dead_or_self_never_link(self):
-        x = StegRouter(1, frozenset({"internet"}), PROFILES)
+        x = StegRouter(1, frozenset({"internet"}), DEFAULT_TABLE)
         assert x.ingest_discovery(1, frozenset({"internet"}), now=0.0) is False
         assert not x.neighbors
         # a walk from a departed originator, or ending at a departed

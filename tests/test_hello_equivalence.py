@@ -29,9 +29,8 @@ from stegrouter.core import DEFAULT_METHODS, StegMethodProfile
 from stegrouter.router import RouterTimers
 from stegrouter.sim import Platform, SimConfig, run_report_lines
 
-from harness import ReferencePlatform, dyadic_delay_methods
+from harness import TEXT_ONLY, ReferencePlatform, dyadic_delay_methods
 
-TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
 TEXT_AND_WIDE = TEXT_ONLY + (StegMethodProfile("wide", "Wide", 400, 0.0, 0.5, 1),)
 CATALOGUES = (DEFAULT_METHODS, TEXT_ONLY, dyadic_delay_methods(3))
 

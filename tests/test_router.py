@@ -33,6 +33,7 @@ from stegrouter.router import (
 from stegrouter.sim import SimConfig, run, run_report_lines
 
 from harness import (
+    DEFAULT_TABLE,
     DYADIC_DELAYS,
     SPARSE_METHODS,
     build_routers,
@@ -45,11 +46,9 @@ from harness import (
     run_rounds,
 )
 
-PROFILES = method_table(DEFAULT_METHODS)
-
 
 def fresh_router(agent_id=1, caps=("internet",), **kwargs):
-    return StegRouter(agent_id, frozenset(caps), PROFILES, **kwargs)
+    return StegRouter(agent_id, frozenset(caps), DEFAULT_TABLE, **kwargs)
 
 
 def join(a, b):
@@ -78,7 +77,7 @@ class TestLinkMetrics:
     def test_image_link(self):
         r = fresh_router(1, ("image",))
         r.ingest_discovery(2, frozenset({"image"}), now=0.0)
-        assert r.neighbors[2].link_key == (-100, 0.0, PROFILES["image"].preference_rank, 1)
+        assert r.neighbors[2].link_key == (-100, 0.0, DEFAULT_TABLE["image"].preference_rank, 1)
 
     def test_hiccups_link(self):
         r = fresh_router(1, ("hiccups",))
@@ -94,18 +93,18 @@ class TestLinkMetrics:
                             2: frozenset({"image", "audio"})})
         next_hop, key = routers[1].routes[2]
         assert routers[1].neighbors[next_hop].best_method == "image"
-        assert key == (-100, 0.0, PROFILES["image"].preference_rank, 1)
+        assert key == (-100, 0.0, DEFAULT_TABLE["image"].preference_rank, 1)
 
     def test_best_method_prefers_bandwidth(self):
-        assert best_method_on_link({"image", "audio"}, PROFILES) == "image"
+        assert best_method_on_link({"image", "audio"}, DEFAULT_TABLE) == "image"
 
     def test_best_method_singleton(self):
-        assert best_method_on_link({"internet"}, PROFILES) == "internet"
+        assert best_method_on_link({"internet"}, DEFAULT_TABLE) == "internet"
 
     def test_best_method_rank_breaks_bandwidth_tie(self):
         # image and video share bandwidth 100 and delay 0; image has the
         # lower preference rank under the default catalogue
-        assert best_method_on_link({"image", "video"}, PROFILES) == "image"
+        assert best_method_on_link({"image", "video"}, DEFAULT_TABLE) == "image"
 
 
 class TestMetricOrder:
@@ -441,7 +440,7 @@ class TestProcessUpdate:
         routers = converge({1: frozenset({"internet"}),
                             2: frozenset({"internet", "text"}),
                             3: frozenset({"text"})})
-        assert routers[1].routes[3] == (2, (-80, 0.0, PROFILES["text"].preference_rank, 2))
+        assert routers[1].routes[3] == (2, (-80, 0.0, DEFAULT_TABLE["text"].preference_rank, 2))
 
     def test_worse_candidate_leaves_table_unchanged(self):
         # 1 has a direct internet link to 3 and a text detour via 2
@@ -657,12 +656,12 @@ class TestReferenceOracle:
         # not on the best simple path, of 2 hops; the oracle must agree.
         expected = (80.0, 0.0, 5, 3)
         assert protocol_tables(converge(NON_ISOTONE))[3][2] == expected
-        assert reference_tables(NON_ISOTONE, PROFILES)[3][2] == expected
-        assert min(simple_path_keys(NON_ISOTONE, PROFILES, 32)[3, 2]) == (-80.0, 0.0, 5, 2)
+        assert reference_tables(NON_ISOTONE, DEFAULT_TABLE)[3][2] == expected
+        assert min(simple_path_keys(NON_ISOTONE, DEFAULT_TABLE, 32)[3, 2]) == (-80.0, 0.0, 5, 2)
 
     @settings(max_examples=300, deadline=None)
     @given(adversarial_topologies(max_agents=12))
-    @example((NON_ISOTONE, PROFILES, 32))
+    @example((NON_ISOTONE, DEFAULT_TABLE, 32))
     def test_equals_protocol_fixed_point(self, topology):
         capabilities, profiles, hop_limit = topology
         routers = converge(capabilities, profiles, hop_limit)
@@ -670,7 +669,7 @@ class TestReferenceOracle:
 
     @settings(max_examples=150, deadline=None)
     @given(adversarial_topologies(max_agents=7))
-    @example((NON_ISOTONE, PROFILES, 32))
+    @example((NON_ISOTONE, DEFAULT_TABLE, 32))
     def test_routes_are_locally_optimal_simple_paths(self, topology):
         # Checked against brute force: every route is the key of a simple
         # path within the hop limit, so never better than the best one,
@@ -705,7 +704,7 @@ class TestReferenceOracle:
         for seed in range(12):
             capabilities = random_population(seed, max_agents=12)
             routers = converge(capabilities)
-            assert protocol_tables(routers) == reference_tables(capabilities, PROFILES)
+            assert protocol_tables(routers) == reference_tables(capabilities, DEFAULT_TABLE)
 
     def test_matches_protocol_with_nonzero_delays(self):
         for seed in range(6):
@@ -722,7 +721,7 @@ class TestReferenceOracle:
                  1: frozenset({"image", "audio"}),
                  2: frozenset({"audio", "video"}),
                  3: frozenset({"video"})}
-        tables = reference_tables(chain, PROFILES, hop_limit=2)
+        tables = reference_tables(chain, DEFAULT_TABLE, hop_limit=2)
         assert 3 not in tables[0]
         assert tables[0][2][3] == 2
 
@@ -775,16 +774,16 @@ class TestTwinClasses:
     @settings(max_examples=300, deadline=None)
     @given(twin_populations())
     # false twins: same methods and peers, but no link between them
-    @example(({0: INTERNET, 1: INTERNET, 2: INTERNET}, PROFILES, 32,
+    @example(({0: INTERNET, 1: INTERNET, 2: INTERNET}, DEFAULT_TABLE, 32,
               {frozenset((0, 2)), frozenset((1, 2))}))
     # every agent in one class
-    @example(({agent: INTERNET for agent in range(5)}, PROFILES, 32, None))
+    @example(({agent: INTERNET for agent in range(5)}, DEFAULT_TABLE, 32, None))
     # destination 2 alone in its class, 0 and 1 twins
     @example(({0: INTERNET, 1: INTERNET, 2: INTERNET | {"image"}, 3: frozenset({"image"})},
-              PROFILES, 32, None))
+              DEFAULT_TABLE, 32, None))
     # hop limit 1 with a twin class: 0 and 1 reach 3 only over 2 hops
     @example(({0: frozenset({"image"}), 1: frozenset({"image"}),
-               2: frozenset({"image", "audio"}), 3: frozenset({"audio"})}, PROFILES, 1, None))
+               2: frozenset({"image", "audio"}), 3: frozenset({"audio"})}, DEFAULT_TABLE, 1, None))
     def test_search_per_class_equals_search_per_agent(self, population):
         capabilities, profiles, hop_limit, links = population
         got = reference_tables(capabilities, profiles, hop_limit, links)
@@ -801,7 +800,7 @@ class TestTwinClasses:
         for member in range(8):
             for size in (50, 100):
                 key = f"m{member}/reference_tables/sa{size}"
-                tables = reference_tables(benchmark_panel(member, size), PROFILES)
+                tables = reference_tables(benchmark_panel(member, size), DEFAULT_TABLE)
                 plain = {str(u): {str(v): list(m) for v, m in row.items()}
                          for u, row in tables.items()}
                 digest = hashlib.sha256(json.dumps(plain, sort_keys=True).encode()).hexdigest()
@@ -814,7 +813,7 @@ class TestTwinClasses:
         capabilities = benchmark_panel(0, 100)
         tracemalloc.start()
         try:
-            reference_tables(capabilities, PROFILES)
+            reference_tables(capabilities, DEFAULT_TABLE)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

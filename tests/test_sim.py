@@ -32,10 +32,7 @@ from stegrouter.sim import (
     write_run_jsonl,
 )
 
-from harness import digest_under_hash_seed, dyadic_delay_methods, run_in_child
-
-# one universally shared method: every SA pair has a link, graph always connected
-TEXT_ONLY = (StegMethodProfile("text", "Text", 80, 0.0, 1.0, 6),)
+from harness import TEXT_ONLY, digest_under_hash_seed, dyadic_delay_methods, run_in_child
 
 
 @pytest.fixture(scope="module")

@@ -116,6 +116,23 @@ class TestChooseNextProxy:
         _, p_value = stats.chisquare(counts[1:])
         assert p_value > 0.01
 
+    def test_uniform_over_other_candidates_at_a_stated_rate(self):
+        # 100 agents, 10^6 first sends: each of the 99 candidates within
+        # 4.42 sigma of 1/99.  Each count misses with probability 9.9e-6,
+        # so by the Bonferroni bound a correct engine fails at most 0.1%
+        # of seeds.
+        rng = random.Random(1017)
+        population = list(range(100))
+        draws = 1_000_000
+        counts = [0] * 100
+        for _ in range(draws):
+            counts[run_walk(0, 0.0, population, rng)[1]] += 1
+        assert counts[0] == 0
+        expected = draws / 99
+        sigma = math.sqrt(draws * (1 / 99) * (98 / 99))
+        for c in counts[1:]:
+            assert abs(c - expected) < 4.42 * sigma
+
     def test_only_population_members_selected(self):
         # the caller passes the live population; nothing outside it can appear
         rng = random.Random(3)
@@ -164,6 +181,13 @@ class TestRunWalk:
         lengths = walk_lengths(0.8, 200_000, seed=29)
         mean = sum(lengths) / len(lengths)
         assert abs(mean - 6.0) < 0.02
+
+    def test_mean_length_pf_08_at_a_stated_rate(self):
+        # sigma = sqrt(20 / 200k) = 0.01, so the tolerance +/- 0.0329 is
+        # 3.29 sigma and a correct engine fails 0.1% of seeds
+        lengths = walk_lengths(0.8, 200_000, seed=1029)
+        mean = sum(lengths) / len(lengths)
+        assert abs(mean - 6.0) < 0.0329
 
     def test_length_distribution_matches_geometric(self):
         # P(len = k) = p_f^(k-2) (1 - p_f) for k >= 2; chi-square at alpha=0.01
